@@ -12,6 +12,8 @@ paper's narrative:
   RIS sampling per query.
 * :func:`naive_mia_im` — greedy over MIA spread with *no* bounds (every
   user's tree evaluated in round one); isolates the benefit of bounds.
+* :func:`greedy_mia` — the one CELF-over-MIA loop behind both of those
+  and the topic-sample variant (bounds, ε and warm starts optional).
 * :func:`best_effort_im` — the paper's best-effort framework: PB/NB/LB
   upper bounds feed CELF so only promising users are ever evaluated.
   Output is identical to :func:`naive_mia_im` (guarantee preserved).
@@ -19,11 +21,11 @@ paper's narrative:
   seed sets give warm starts + an ε tolerance, for the paper's
   "theoretical guarantee" variant with even fewer evaluations.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.mia import _ap_map, greedy_mia, mia_marginal, mia_sigma, mioa
+from repro.core.mia import ap_map, edge_weights, mia_marginal, mia_sigma, mioa
 from repro.core.model import TopicAwareInfluenceModel
 from repro.influence.bounds import Precomputed, best_upper_bounds
 from repro.influence.celf import celf
@@ -45,12 +47,14 @@ class IMAnswer:
     mia_spread: float = float("nan")  # comparable MIA spread of the seed set
 
 
-def _finish(model, method, keywords, gamma, seeds, spread, n_evals) -> IMAnswer:
-    p_eff = model.edge_probs(gamma)
+def _finish(model, method, keywords, gamma, p_eff, seeds, spread, n_evals,
+            trees=None) -> IMAnswer:
+    """Package an answer; ``trees`` is the query's MIOA cache, so the
+    comparable MIA spread reuses the trees CELF already built."""
     return IMAnswer(
         method=method, keywords=list(keywords), gamma=gamma, seeds=list(seeds),
         spread=float(spread), n_exact_evals=int(n_evals),
-        mia_spread=mia_sigma(model.graph, p_eff, seeds, model.theta),
+        mia_spread=mia_sigma(model.graph, p_eff, seeds, model.theta, trees=trees),
     )
 
 
@@ -78,7 +82,7 @@ def naive_mc_im(
         return mc_spread_local(g, p_eff, seeds, n_samples=n_samples, seed=seed)
 
     seeds, total, n_evals = celf(cand, marginal, k, state_update=state_update)
-    return _finish(model, "naive-mc", keywords, gamma, seeds, total, n_evals)
+    return _finish(model, "naive-mc", keywords, gamma, p_eff, seeds, total, n_evals)
 
 
 def naive_ris_im(
@@ -88,46 +92,51 @@ def naive_ris_im(
     """Traditional online baseline: fresh RIS per query ([8])."""
     gamma, p_eff = model.query_probs(keywords)
     seeds, est = ris_im(model.graph, p_eff, k, R=R, seed=seed)
-    return _finish(model, "naive-ris", keywords, gamma, seeds, est, R)
+    return _finish(model, "naive-ris", keywords, gamma, p_eff, seeds, est, R)
+
+
+def greedy_mia(graph, p_eff: np.ndarray, k: int, theta: float = 0.01, *,
+               upper_bounds=None, epsilon: float = 0.0, warm_start=None,
+               trees: dict | None = None) -> tuple:
+    """CELF greedy over MIA marginal gains on every user of ``graph``.
+
+    Without ``upper_bounds`` it is plain greedy (every tree evaluated in
+    round one), the exact answer the bounded variants must reproduce; with
+    them it is the best-effort loop. ``epsilon`` and ``warm_start`` are
+    passed to :func:`celf`. Each user's MIOA is built at most once, on one
+    weight list, into ``trees`` (``{user: MIOA}``, a fresh dict if None),
+    which the caller may keep to finish the answer.
+
+    Returns ``(seeds, spread, n_tree_evals)``.
+    """
+    weights = edge_weights(graph, p_eff).tolist()
+    trees = {} if trees is None else trees
+
+    def tree_of(u):
+        tree = trees.get(u)
+        if tree is None:
+            tree = trees[u] = mioa(graph, p_eff, u, theta, weights=weights)
+        return tree
+
+    def marginal(u, seeds, ap_state):
+        return mia_marginal(graph, p_eff, u, ap_state, theta, tree=tree_of(u))
+
+    return celf(
+        range(graph.n), marginal, k,
+        upper_bounds=upper_bounds,
+        state_update=lambda seeds: ap_map(graph, p_eff, seeds, theta, trees=trees),
+        epsilon=epsilon,
+        warm_start=warm_start,
+    )
 
 
 def naive_mia_im(model: TopicAwareInfluenceModel, keywords, k: int) -> IMAnswer:
     """Exact greedy under MIA with no pruning — the reference answer the
     bounded methods must reproduce."""
     gamma, p_eff = model.query_probs(keywords)
-    seeds, total, n_evals = greedy_mia(model.graph, p_eff, k, model.theta)
-    return _finish(model, "naive-mia", keywords, gamma, seeds, total, n_evals)
-
-
-def _mia_celf(model, p_eff, k, *, upper_bounds, epsilon=0.0, warm=None):
-    g = model.graph
     trees: dict = {}
-
-    def tree_of(u):
-        if u not in trees:
-            trees[u] = mioa(g, p_eff, u, model.theta)
-        return trees[u]
-
-    def marginal(u, seeds, ap_state):
-        return mia_marginal(g, p_eff, u, ap_state, model.theta, tree=tree_of(u))
-
-    def ap_of(seeds):
-        # Reuse the trees CELF already built (every selected seed was
-        # exactly evaluated) instead of re-running Dijkstra each round.
-        one_minus: dict = {}
-        for s in seeds:
-            for v, (p, _) in tree_of(s).items():
-                one_minus[v] = one_minus.get(v, 1.0) * (1.0 - p)
-        return {v: 1.0 - om for v, om in one_minus.items()}
-
-    seeds, total, n_evals = celf(
-        range(g.n), marginal, k,
-        upper_bounds=upper_bounds,
-        state_update=ap_of,
-        epsilon=epsilon,
-        warm_start=warm,
-    )
-    return seeds, total, n_evals
+    seeds, total, n_evals = greedy_mia(model.graph, p_eff, k, model.theta, trees=trees)
+    return _finish(model, "naive-mia", keywords, gamma, p_eff, seeds, total, n_evals, trees)
 
 
 def best_effort_im(
@@ -139,8 +148,11 @@ def best_effort_im(
     ub = best_upper_bounds(
         model.graph, p_eff, pre, lb_refine_top=lb_refine_top, radius=radius
     )
-    seeds, total, n_evals = _mia_celf(model, p_eff, k, upper_bounds=ub)
-    return _finish(model, "best-effort", keywords, gamma, seeds, total, n_evals)
+    trees: dict = {}
+    seeds, total, n_evals = greedy_mia(
+        model.graph, p_eff, k, model.theta, upper_bounds=ub, trees=trees
+    )
+    return _finish(model, "best-effort", keywords, gamma, p_eff, seeds, total, n_evals, trees)
 
 
 def topic_sample_im(
@@ -153,7 +165,9 @@ def topic_sample_im(
     gamma, p_eff = model.query_probs(keywords)
     ub = best_upper_bounds(model.graph, p_eff, pre, lb_refine_top=lb_refine_top)
     warm = warm_start_candidates(index, gamma, m=m_nearest)[: 2 * k]
-    seeds, total, n_evals = _mia_celf(
-        model, p_eff, k, upper_bounds=ub, epsilon=epsilon, warm=warm
+    trees: dict = {}
+    seeds, total, n_evals = greedy_mia(
+        model.graph, p_eff, k, model.theta,
+        upper_bounds=ub, epsilon=epsilon, warm_start=warm, trees=trees,
     )
-    return _finish(model, "topic-sample", keywords, gamma, seeds, total, n_evals)
+    return _finish(model, "topic-sample", keywords, gamma, p_eff, seeds, total, n_evals, trees)

@@ -69,38 +69,46 @@ class _Sample:
     in_adj: dict           # dst -> list of stored-edge positions
 
 
-def _reverse_envelope(graph: LocalGraph, root: int, seed: int, sample_id: int) -> _Sample:
-    """Reverse BFS from ``root`` keeping edges with r_e ≤ pp_max(e)."""
-    p_max = graph.max_probs()
-    found = {root}
-    frontier = [root]
-    kept: list = []
-    while frontier:
-        nxt = []
-        for v in frontier:
-            eids = graph.in_edges(v)
-            if len(eids) == 0:
-                continue
-            rs = edge_uniform(seed, sample_id, eids)
-            live = rs <= p_max[eids]
-            for e, r in zip(eids[live], rs[live]):
-                kept.append((int(e), float(r)))
-                u = int(graph.e_src[e])
-                if u not in found:
-                    found.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    eids = np.asarray([e for e, _ in kept], dtype=np.int64)
-    r = np.asarray([x for _, x in kept], dtype=np.float64)
-    src = graph.e_src[eids] if len(eids) else np.empty(0, np.int64)
-    dst = graph.e_dst[eids] if len(eids) else np.empty(0, np.int64)
+def _reverse_envelope(graph: LocalGraph, root: int, seed: int, sample_id: int,
+                      p_max: np.ndarray) -> _Sample:
+    """Reverse BFS from ``root`` keeping edges with r_e ≤ pp_max(e), one
+    level at a time: the frontier's in-edges (each node's together, in CSR
+    order) get their r_e in one :func:`edge_uniform` call, and the live
+    edges' unseen sources, in first-seen order, form the next frontier.
+    ``p_max`` is ``graph.max_probs()``, computed once per build."""
+    found = np.zeros(graph.n, dtype=bool)
+    found[root] = True
+    frontier = np.array([root], dtype=np.int64)
+    kept_e, kept_r = [], []
+    while len(frontier):
+        starts, ends = graph.in_ptr[frontier], graph.in_ptr[frontier + 1]
+        lens = ends - starts
+        pos = np.arange(lens.sum()) + np.repeat(starts - np.cumsum(lens) + lens, lens)
+        eids = graph.in_eid[pos]
+        rs = edge_uniform(seed, sample_id, eids)
+        live = rs <= p_max[eids]
+        eids, rs = eids[live], rs[live]
+        kept_e.append(eids)
+        kept_r.append(rs)
+        srcs = graph.e_src[eids]
+        srcs = srcs[~found[srcs]]
+        _, first = np.unique(srcs, return_index=True)
+        frontier = srcs[np.sort(first)]
+        found[frontier] = True
+    return _assemble_sample(graph, root, np.concatenate(kept_e), np.concatenate(kept_r),
+                            frozenset(np.flatnonzero(found).tolist()))
+
+
+def _assemble_sample(graph: LocalGraph, root: int, eids: np.ndarray, r: np.ndarray,
+                     nodes: frozenset) -> _Sample:
+    """Assemble one stored sample from its kept edges and their r_e."""
+    dst = graph.e_dst[eids]
     in_adj: dict = {}
-    for pos, d in enumerate(dst):
-        in_adj.setdefault(int(d), []).append(pos)
+    for pos, d in enumerate(dst.tolist()):
+        in_adj.setdefault(d, []).append(pos)
     return _Sample(
-        root=root, eids=eids, src=src, dst=dst, r=r,
-        probs=graph.probs[eids] if len(eids) else np.empty((0, graph.Z)),
-        nodes=frozenset(found), in_adj=in_adj,
+        root=root, eids=eids, src=graph.e_src[eids], dst=dst, r=r,
+        probs=graph.probs[eids], nodes=nodes, in_adj=in_adj,
     )
 
 
@@ -158,8 +166,10 @@ def build_influencer_index_local(
 ) -> InfluencerIndex:
     """Driver-side index build (tests / tiny graphs)."""
     roots = _monitor_roots(graph.n, R, seed)
+    p_max = graph.max_probs()
     samples = [
-        _reverse_envelope(graph, int(root), seed, i) for i, root in enumerate(roots)
+        _reverse_envelope(graph, int(root), seed, i, p_max)
+        for i, root in enumerate(roots)
     ]
     return InfluencerIndex(n=graph.n, R=R, seed=seed, samples=samples)
 
@@ -179,11 +189,12 @@ def build_influencer_index_spark(
 
     def run(batches):
         g = LocalGraph(*g_args)
+        p_max = g.max_probs()
         for pdf in batches:
             out_sid, out_root, out_eid = [], [], []
             for i in pdf["id"].to_numpy():
                 i = int(i)
-                s = _reverse_envelope(g, int(roots[i]), seed, i)
+                s = _reverse_envelope(g, int(roots[i]), seed, i, p_max)
                 out_sid.extend([i] * max(len(s.eids), 1))
                 out_root.extend([s.root] * max(len(s.eids), 1))
                 out_eid.extend(s.eids.tolist() or [-1])
@@ -198,23 +209,19 @@ def build_influencer_index_spark(
         .toPandas()
         .sort_values(["sample_id", "eid"])
     )
+    sid = rows["sample_id"].to_numpy(dtype=np.int64)
+    all_eids = rows["eid"].to_numpy(dtype=np.int64)
+    cuts = np.searchsorted(sid, np.arange(R + 1))
     samples = []
     for i in range(R):
-        grp = rows[rows["sample_id"] == i]
         root = int(roots[i])
-        eids = grp.loc[grp["eid"] >= 0, "eid"].to_numpy(dtype=np.int64)
-        r = edge_uniform(seed, i, eids) if len(eids) else np.empty(0)
-        src = graph.e_src[eids] if len(eids) else np.empty(0, np.int64)
-        dst = graph.e_dst[eids] if len(eids) else np.empty(0, np.int64)
-        in_adj: dict = {}
-        for pos, d in enumerate(dst):
-            in_adj.setdefault(int(d), []).append(pos)
-        nodes = frozenset({root} | set(src.tolist()) | set(dst.tolist()))
-        samples.append(_Sample(
-            root=root, eids=eids, src=src, dst=dst, r=r,
-            probs=graph.probs[eids] if len(eids) else np.empty((0, graph.Z)),
-            nodes=nodes, in_adj=in_adj,
-        ))
+        eids = all_eids[cuts[i] : cuts[i + 1]]
+        eids = eids[eids >= 0]
+        nodes = frozenset(
+            {root} | set(graph.e_src[eids].tolist()) | set(graph.e_dst[eids].tolist())
+        )
+        r = edge_uniform(seed, i, eids)
+        samples.append(_assemble_sample(graph, root, eids, r, nodes))
     return InfluencerIndex(n=graph.n, R=R, seed=seed, samples=samples)
 
 

@@ -4,71 +4,118 @@ OCTOPUS restricts influence paths of a user ``u`` to a tree rooted at
 ``u`` where the u→v path is the maximum-probability path, ignoring paths
 below a threshold ``θ``. This module provides:
 
-* :func:`mioa` / :func:`miia` — forward / reverse arborescences via
-  Dijkstra on −log probabilities (the online path-exploration engine).
+* :func:`mia_search` — the one Dijkstra kernel every tree in the system
+  runs on: forward or reverse, with an optional hop limit (the LB bound).
+* :func:`mioa` / :func:`miia` — forward / reverse arborescences (the
+  online path-exploration engine).
 * :func:`mia_sigma` / :func:`mia_marginal` — per-seed-set spread and
   marginal gains under the standard MIA independent-path approximation
-  ``ap(S,v) = 1 − Π_{s∈S}(1 − ap(s,v))``, which powers instant greedy IM.
+  ``ap(S,v) = 1 − Π_{s∈S}(1 − ap(s,v))`` (built by :func:`ap_map`), which
+  powers instant greedy IM.
 * :func:`extract_paths` — the rows the d3js front-end would visualize
   (node, probability, depth, full path, first-hop cluster).
-* :func:`theta_reachability_spark` — the distributed all-roots variant
-  (delegates to ``graphlib.traversal``) used for offline precomputation.
 
 Path probabilities multiply, so Dijkstra runs on weights −log pp(e) and
 prunes any partial path with probability < θ; each tree is tiny in
-practice, which is what makes the engine "online".
+practice, which is what makes the engine "online". The kernel walks the
+graph's CSR as Python lists (``LocalGraph.adjacency_lists``, built once per
+graph) with the weights of one query in the same order (:func:`edge_weights`,
+built once per query), so an edge relaxation is a few list reads and one
+float add.
 """
 import heapq
-from math import log
+import sys
+from math import exp, log
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.graphlib.builder import LocalGraph
-from repro.graphlib.traversal import max_prob_reach
+
+_INF = float("inf")
 
 
-def mioa(graph: LocalGraph, p_eff: np.ndarray, root: int, theta: float = 0.01) -> dict:
+def edge_weights(graph: LocalGraph, p_eff: np.ndarray, *, forward: bool = True) -> np.ndarray:
+    """Dijkstra weights −log pp(e) of one query, in out-CSR order (or
+    in-CSR order with ``forward=False``). Edges with pp(e) ≤ 0 get +inf,
+    which the kernel never relaxes.
+
+    The kernel reads a Python list fastest, but converting all E weights
+    costs about as much as a small tree: callers that build many trees of
+    one query pass ``.tolist()``, a single tree reads the array as is."""
+    p = np.asarray(p_eff, dtype=np.float64)[graph.out_eid if forward else graph.in_eid]
+    w = np.full(len(p), _INF)
+    live = p > 0.0
+    w[live] = -np.log(p[live])
+    return w
+
+
+def mia_search(graph: LocalGraph, weights, root: int, theta: float = 0.01,
+               *, forward: bool = True, max_hops: int | None = None) -> tuple:
+    """Max-probability paths from ``root`` (into ``root`` when
+    ``forward=False``) with probability ≥ θ, by Dijkstra on ``weights``
+    from :func:`edge_weights` for the same direction (array or list).
+
+    Returns ``(dist, parent, hops)``: −log path probability and tree
+    parent per reached node (the root maps to ``0.0`` / ``-1``). With
+    ``max_hops``, nodes whose best path has that many hops are not
+    expanded and ``hops`` holds each node's hop count; otherwise it is
+    ``None``.
+    """
+    ptr, nbr = graph.adjacency_lists(forward)
+    lim = -log(theta) + 1e-12 if theta > 0 else sys.float_info.max
+    dist = {root: 0.0}
+    parent = {root: -1}
+    hops = None if max_hops is None else {root: 0}
+    heap = [(0.0, root)]
+    pop, push, get = heapq.heappop, heapq.heappush, dist.get
+    while heap:
+        d, u = pop(heap)
+        if d > dist[u]:
+            continue  # stale entry: u was settled at a shorter distance
+        if hops is not None:
+            h = hops[u] + 1
+            if h > max_hops:
+                continue
+        for i in range(ptr[u], ptr[u + 1]):
+            nd = d + weights[i]
+            if nd <= lim:
+                v = nbr[i]
+                if nd < get(v, _INF) - 1e-15:
+                    dist[v] = nd
+                    parent[v] = u
+                    if hops is not None:
+                        hops[v] = h
+                    push(heap, (nd, v))
+    return dist, parent, hops
+
+
+def mioa(graph: LocalGraph, p_eff: np.ndarray, root: int, theta: float = 0.01,
+         *, weights=None) -> dict:
     """Maximum-influence out-arborescence of ``root``.
 
     ``p_eff``: (E,) effective edge probabilities pp_γ. Returns
     ``{node: (prob, parent)}`` for every node whose max-prob path from
     ``root`` has probability ≥ theta; the root maps to ``(1.0, -1)``.
+    ``weights`` (``edge_weights(graph, p_eff).tolist()``) skips rebuilding
+    the query's weights when many trees share one query.
     """
-    return _dijkstra(graph, p_eff, root, theta, forward=True)
+    if weights is None:
+        weights = edge_weights(graph, p_eff)
+    dist, parent, _ = mia_search(graph, weights, root, theta)
+    return {v: (exp(-d), parent[v]) for v, d in dist.items()}
 
 
-def miia(graph: LocalGraph, p_eff: np.ndarray, root: int, theta: float = 0.01) -> dict:
+def miia(graph: LocalGraph, p_eff: np.ndarray, root: int, theta: float = 0.01,
+         *, weights=None) -> dict:
     """Maximum-influence in-arborescence: who influences ``root`` and how.
     Returns ``{node: (prob, parent)}`` where ``parent`` is the next hop
-    from ``node`` toward ``root`` (i.e. the tree is over reversed edges)."""
-    return _dijkstra(graph, p_eff, root, theta, forward=False)
-
-
-def _dijkstra(graph, p_eff, root, theta, *, forward):
-    lim = -log(theta) if theta > 0 else float("inf")
-    dist = {root: 0.0}
-    parent = {root: -1}
-    done = set()
-    heap = [(0.0, root)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        eids = graph.out_edges(u) if forward else graph.in_edges(u)
-        for e in eids:
-            p = p_eff[e]
-            if p <= 0.0:
-                continue
-            v = int(graph.e_dst[e] if forward else graph.e_src[e])
-            nd = d - log(p)
-            if nd <= lim + 1e-12 and nd < dist.get(v, float("inf")) - 1e-15:
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, v))
-    return {v: (float(np.exp(-d)), parent[v]) for v, d in dist.items()}
+    from ``node`` toward ``root`` (i.e. the tree is over reversed edges).
+    ``weights`` must come from ``edge_weights(graph, p_eff, forward=False)``."""
+    if weights is None:
+        weights = edge_weights(graph, p_eff, forward=False)
+    dist, parent, _ = mia_search(graph, weights, root, theta, forward=False)
+    return {v: (exp(-d), parent[v]) for v, d in dist.items()}
 
 
 def mia_sigma_single(graph: LocalGraph, p_eff: np.ndarray, u: int, theta: float = 0.01) -> float:
@@ -76,17 +123,31 @@ def mia_sigma_single(graph: LocalGraph, p_eff: np.ndarray, u: int, theta: float 
     return float(sum(p for p, _ in mioa(graph, p_eff, u, theta).values()))
 
 
-def mia_sigma(graph: LocalGraph, p_eff: np.ndarray, seeds, theta: float = 0.01) -> float:
-    """Seed-set spread under the MIA independent-path approximation."""
-    ap = _ap_map(graph, p_eff, seeds, theta)
-    return float(sum(ap.values()))
+def mia_sigma(graph: LocalGraph, p_eff: np.ndarray, seeds, theta: float = 0.01,
+              *, trees: dict | None = None) -> float:
+    """Seed-set spread under the MIA independent-path approximation.
+    ``trees`` is an optional per-query ``{seed: MIOA}`` cache (see
+    :func:`ap_map`)."""
+    return float(sum(ap_map(graph, p_eff, seeds, theta, trees=trees).values()))
 
 
-def _ap_map(graph, p_eff, seeds, theta) -> dict:
-    """Per-node activation probability ap(S, v) = 1 − Π (1 − ap(s, v))."""
+def ap_map(graph: LocalGraph, p_eff: np.ndarray, seeds, theta: float = 0.01,
+           *, trees: dict | None = None) -> dict:
+    """Per-node activation probability ap(S, v) = 1 − Π (1 − ap(s, v)).
+
+    ``trees`` is a per-query ``{seed: MIOA}`` cache: seeds found there
+    reuse their tree, and the trees of the others are built (on one
+    weight list) and added to it."""
+    trees = {} if trees is None else trees
+    weights = None
     one_minus: dict = {}
     for s in seeds:
-        for v, (p, _) in mioa(graph, p_eff, s, theta).items():
+        tree = trees.get(s)
+        if tree is None:
+            if weights is None:
+                weights = edge_weights(graph, p_eff).tolist()
+            tree = trees[s] = mioa(graph, p_eff, s, theta, weights=weights)
+        for v, (p, _) in tree.items():
             one_minus[v] = one_minus.get(v, 1.0) * (1.0 - p)
     return {v: 1.0 - om for v, om in one_minus.items()}
 
@@ -104,30 +165,6 @@ def mia_marginal(graph: LocalGraph, p_eff: np.ndarray, u: int, ap_seeds: dict,
     return float(
         sum((1.0 - ap_seeds.get(v, 0.0)) * p for v, (p, _) in tree.items())
     )
-
-
-def greedy_mia(graph: LocalGraph, p_eff: np.ndarray, k: int, theta: float = 0.01,
-               candidates=None) -> tuple:
-    """Plain greedy IM under MIA (no bounds) — the exact-answer reference
-    that best-effort/topic-sample variants must reproduce.
-
-    Returns ``(seeds, spread, n_tree_evals)``.
-    """
-    from repro.influence.celf import celf
-
-    trees: dict = {}
-
-    def marginal(u, seeds, ap_state):
-        if u not in trees:
-            trees[u] = mioa(graph, p_eff, u, theta)
-        return mia_marginal(graph, p_eff, u, ap_state, theta, tree=trees[u])
-
-    cand = range(graph.n) if candidates is None else candidates
-    seeds, spread, n_evals = celf(
-        cand, marginal, k,
-        state_update=lambda seeds: _ap_map(graph, p_eff, seeds, theta),
-    )
-    return seeds, spread, n_evals
 
 
 def extract_paths(tree: dict, root: int) -> pd.DataFrame:
@@ -149,16 +186,3 @@ def extract_paths(tree: dict, root: int) -> pd.DataFrame:
         .sort_values(["depth", "node"])
         .reset_index(drop=True)
     )
-
-
-def theta_reachability_spark(
-    spark: SparkSession,
-    edges_df: DataFrame,
-    *,
-    theta: float,
-    roots_df: DataFrame | None = None,
-    max_iter: int = 30,
-) -> DataFrame:
-    """Distributed all-roots MIA reachability over (src, dst, p) edges —
-    the offline job that materializes σ_max / tree-size indexes."""
-    return max_prob_reach(edges_df, roots_df, theta=theta, max_iter=max_iter)

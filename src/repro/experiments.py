@@ -16,6 +16,7 @@ import pandas as pd
 from repro import synth_data as sd
 from repro.core.keyword_im import (
     best_effort_im,
+    greedy_mia,
     naive_mc_im,
     naive_mia_im,
     naive_ris_im,
@@ -201,9 +202,7 @@ def table2_bounds(
             else:
                 full = np.minimum(pb_bounds(pre), nb_bounds(g, p_eff, pre))
             if full is not None:
-                from repro.core.keyword_im import _mia_celf
-
-                _, _, n_evals = _mia_celf(model, p_eff, k, upper_bounds=full)
+                _, _, n_evals = greedy_mia(g, p_eff, k, model.theta, upper_bounds=full)
                 pruned = 1.0 - n_evals / g.n
             else:
                 pruned = float("nan")

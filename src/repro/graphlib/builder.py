@@ -7,6 +7,7 @@ here also derive the social graph *from action logs* (the paper constructs
 the ACMCite graph from citation actions).
 """
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
@@ -61,7 +62,9 @@ class LocalGraph:
 
     ``probs`` is the (E, Z) per-topic activation matrix in the same edge
     order as ``e_src``/``e_dst``; both CSR views (out by src, in by dst)
-    index into that order via ``out_eid``/``in_eid``.
+    index into that order via ``out_eid``/``in_eid``. The MIA kernel walks
+    the same CSR as plain Python lists (:meth:`adjacency_lists`), built
+    once per graph on first use.
     """
 
     n: int
@@ -103,6 +106,21 @@ class LocalGraph:
     def in_edges(self, v: int) -> np.ndarray:
         """Edge ids entering ``v``."""
         return self.in_eid[self.in_ptr[v] : self.in_ptr[v + 1]]
+
+    @cached_property
+    def _out_lists(self) -> tuple:
+        return self.out_ptr.tolist(), self.e_dst[self.out_eid].tolist()
+
+    @cached_property
+    def _in_lists(self) -> tuple:
+        return self.in_ptr.tolist(), self.e_src[self.in_eid].tolist()
+
+    def adjacency_lists(self, forward: bool = True) -> tuple:
+        """``(ptr, nbr)`` as Python lists: the out-CSR (``nbr`` = heads in
+        ``out_eid`` order) or, with ``forward=False``, the in-CSR (``nbr`` =
+        tails in ``in_eid`` order). List indexing in the Dijkstra inner
+        loop is several times cheaper than indexing numpy arrays."""
+        return self._out_lists if forward else self._in_lists
 
     def effective_probs(self, gamma: np.ndarray) -> np.ndarray:
         """(E,) query-time activation probs pp_γ(e) = Σ_z γ_z · pp^z_e."""

@@ -14,17 +14,18 @@ are implemented here, with validity proved under the MIA spread model
 * **LB** (local-graph-based): exact MIA inside a radius-``r`` ball around
   ``u`` under the *query* probabilities, plus the boundary tail
   Σ_{v at depth r} ap_γ(u,v)·(σ_max(v) − 1). Tightest, costs one small
-  truncated Dijkstra — used to refine the most promising candidates.
+  hop-limited Dijkstra — used to refine the most promising candidates.
+
+Every tree here runs on the one MIA kernel, ``core.mia.mia_search``.
 """
 from dataclasses import dataclass
-from math import log
+from math import exp
 
-import heapq
 import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.mia import mioa
+from repro.core.mia import edge_weights, mia_search, mioa
 from repro.graphlib.builder import LocalGraph
 from repro.graphlib.traversal import influence_region_stats, max_prob_reach
 
@@ -43,10 +44,11 @@ def precompute_local(graph: LocalGraph, *, theta: float = 0.01) -> Precomputed:
     """Driver-side mirror of the distributed precompute (small graphs,
     tests): one truncated Dijkstra per root on pp_max."""
     p_max = graph.max_probs()
+    weights = edge_weights(graph, p_max).tolist()
     sigma = np.zeros(graph.n)
     size = np.zeros(graph.n, dtype=np.int64)
     for u in range(graph.n):
-        tree = mioa(graph, p_max, u, theta)
+        tree = mioa(graph, p_max, u, theta, weights=weights)
         sigma[u] = sum(p for p, _ in tree.values())
         size[u] = len(tree)
     return Precomputed(sigma_max=sigma, tree_size=size, theta=theta)
@@ -99,35 +101,20 @@ def lb_bound(
     *,
     radius: int = 2,
     theta: float = 0.01,
+    weights=None,
 ) -> float:
     """Local-graph bound for one user: exact MIA in the radius-``r`` ball
-    under the query probabilities + σ_max boundary tail."""
-    lim = -log(theta) if theta > 0 else float("inf")
-    dist = {u: (0.0, 0)}
-    done = set()
-    heap = [(0.0, u)]
-    while heap:
-        d, x = heapq.heappop(heap)
-        if x in done:
-            continue
-        done.add(x)
-        _, depth = dist[x]
-        if depth >= radius:
-            continue
-        for e in graph.out_edges(x):
-            p = p_eff[e]
-            if p <= 0.0:
-                continue
-            v = int(graph.e_dst[e])
-            nd = d - log(p)
-            if nd <= lim + 1e-12 and nd < dist.get(v, (float("inf"), 0))[0] - 1e-15:
-                dist[v] = (nd, depth + 1)
-                heapq.heappush(heap, (nd, v))
+    under the query probabilities + σ_max boundary tail. ``weights``
+    (``edge_weights(graph, p_eff).tolist()``) is shared across the users
+    of one query."""
+    if weights is None:
+        weights = edge_weights(graph, p_eff)
+    dist, _, hops = mia_search(graph, weights, u, theta, max_hops=radius)
     total = 0.0
-    for v, (d, depth) in dist.items():
-        ap = float(np.exp(-d))
+    for v, d in dist.items():
+        ap = exp(-d)
         total += ap
-        if depth == radius:
+        if hops[v] == radius:
             total += ap * max(pre.sigma_max[v] - 1.0, 0.0)
     return total
 
@@ -145,11 +132,11 @@ def best_upper_bounds(
     each, so it is spent where it matters)."""
     ub = np.minimum(pb_bounds(pre), nb_bounds(graph, p_eff, pre))
     if lb_refine_top > 0:
+        weights = edge_weights(graph, p_eff).tolist()
         top = np.argsort(-ub)[:lb_refine_top]
         for u in top:
-            ub[u] = min(
-                ub[u], lb_bound(graph, p_eff, pre, int(u), radius=radius, theta=pre.theta)
-            )
+            ub[u] = min(ub[u], lb_bound(graph, p_eff, pre, int(u), radius=radius,
+                                        theta=pre.theta, weights=weights))
     return ub
 
 

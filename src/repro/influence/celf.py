@@ -42,7 +42,8 @@ def celf(
     state_update : optional ``f(seeds) -> state`` called once up front and
         after each selection.
     epsilon : accept a freshly evaluated gain ``g`` as soon as
-        ``g ≥ (1 − ε)·(best remaining key)`` — 0 means exact greedy.
+        ``g ≥ (1 − ε)·(best remaining key)`` — 0 means exact greedy. An
+        exact tie goes to the smaller id (heap order), as in plain greedy.
     warm_start : optional candidate list evaluated exactly before the lazy
         loop (the topic-sample seed sets), so strong fresh entries are in
         the queue from the start and prune bound-keyed entries.
@@ -94,9 +95,12 @@ def celf(
             continue
         g = marginal_fn(u, seeds, state)
         n_evals += 1
-        next_key = -heap[0][0] if heap else float("-inf")
-        if g >= (1.0 - epsilon) * next_key:
+        fresh = (-g, u, round_no)
+        # Select u iff its fresh entry would pop before the (ε-relaxed) top,
+        # so equal gains break by id whether the top is bound-keyed or fresh,
+        # exactly as in plain greedy.
+        if not heap or fresh <= ((1.0 - epsilon) * heap[0][0], *heap[0][1:]):
             select(u, g)
         else:
-            heapq.heappush(heap, (-g, u, round_no))
+            heapq.heappush(heap, fresh)
     return seeds, total, n_evals

@@ -19,7 +19,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.mia import greedy_mia, mia_sigma
+from repro.core.mia import mia_sigma
 from repro.graphlib.builder import LocalGraph
 
 
@@ -50,6 +50,13 @@ def sample_gammas(Z: int, *, n_random: int = 8, alpha: float = 0.4, seed: int = 
     return np.vstack([pure, rand])
 
 
+def _greedy_seeds(graph: LocalGraph, gamma: np.ndarray, k: int, theta: float) -> tuple:
+    """Exact greedy-MIA ``(seeds, spread, n_evals)`` for one sampled γ."""
+    from repro.core.keyword_im import greedy_mia  # keyword_im imports this module
+
+    return greedy_mia(graph, graph.effective_probs(gamma), k, theta)
+
+
 def build_topic_samples_local(
     graph: LocalGraph,
     *,
@@ -62,7 +69,7 @@ def build_topic_samples_local(
     gammas = sample_gammas(graph.Z, n_random=n_random, seed=seed)
     seed_sets, spreads = [], []
     for gm in gammas:
-        seeds, spread, _ = greedy_mia(graph, graph.effective_probs(gm), k, theta)
+        seeds, spread, _ = _greedy_seeds(graph, gm, k, theta)
         seed_sets.append(seeds)
         spreads.append(spread)
     return TopicSampleIndex(
@@ -94,7 +101,7 @@ def build_topic_samples_spark(
             rows = []
             for i in pdf["id"].to_numpy():
                 gm = gammas[int(i)]
-                seeds, spread, _ = greedy_mia(g, g.effective_probs(gm), k, theta)
+                seeds, spread, _ = _greedy_seeds(g, gm, k, theta)
                 for rank, s in enumerate(seeds):
                     rows.append((int(i), rank, int(s), float(spread)))
             yield pd.DataFrame(

@@ -65,6 +65,27 @@ class TestIndexStructure:
             r2 = edge_uniform(index.seed, i, s.eids)
             assert np.allclose(s.r, r2)
 
+    def test_level_expansion_matches_node_by_node_bfs(self, index, graph):
+        """The level-at-a-time envelope keeps exactly the edges, in the
+        order, of a reverse BFS that expands one node at a time."""
+        p_max = graph.max_probs()
+        for i, s in enumerate(index.samples[:50]):
+            found, frontier, kept = {s.root}, [s.root], []
+            while frontier:
+                nxt = []
+                for v in frontier:
+                    eids = graph.in_edges(v)
+                    live = edge_uniform(index.seed, i, eids) <= p_max[eids]
+                    for e in eids[live].tolist():
+                        kept.append(e)
+                        u = int(graph.e_src[e])
+                        if u not in found:
+                            found.add(u)
+                            nxt.append(u)
+                frontier = nxt
+            assert s.eids.tolist() == kept
+            assert s.nodes == frozenset(found)
+
     def test_spark_build_matches_local(self, spark, graph, index):
         dist = build_influencer_index_spark(spark, graph, R=40, seed=5)
         loc = build_influencer_index_local(graph, R=40, seed=5)

@@ -5,10 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core.keyword_im import greedy_mia
 from repro.core.mia import (
-    _ap_map,
+    ap_map,
     extract_paths,
-    greedy_mia,
     mia_marginal,
     mia_sigma,
     mia_sigma_single,
@@ -107,7 +107,7 @@ class TestSpreadAlgebra:
         g = random_local_graph(7, n=20, Z=1)
         p = g.probs[:, 0]
         seeds = [0, 3]
-        ap = _ap_map(g, p, seeds, 0.01)
+        ap = ap_map(g, p, seeds, 0.01)
         for u in (5, 9, 12):
             marg = mia_marginal(g, p, u, ap, 0.01)
             diff = mia_sigma(g, p, seeds + [u], 0.01) - mia_sigma(g, p, seeds, 0.01)
@@ -115,7 +115,7 @@ class TestSpreadAlgebra:
 
     def test_ap_map_bounds(self):
         g = random_local_graph(2, n=20, Z=1)
-        ap = _ap_map(g, g.probs[:, 0], [0, 1, 2], 0.01)
+        ap = ap_map(g, g.probs[:, 0], [0, 1, 2], 0.01)
         assert all(0.0 <= v <= 1.0 + 1e-12 for v in ap.values())
 
     def test_sigma_monotone_in_seeds(self):

@@ -3,7 +3,8 @@ distributed build."""
 import numpy as np
 import pytest
 
-from repro.core.mia import greedy_mia, mia_sigma
+from repro.core.keyword_im import greedy_mia
+from repro.core.mia import mia_sigma
 from repro.influence.samples import (
     build_topic_samples_local,
     build_topic_samples_spark,

@@ -1,0 +1,28 @@
+"""The benchmark's traced run wraps engine functions by module attribute
+(``perfbench/workloads.TRACE_TARGETS``). A keyword-IM query must still
+call each wrapped name, or that layer's metric would silently read 0."""
+from pathlib import Path
+
+from repro.core import keyword_im
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_best_effort_im_records_every_traced_layer(model, pre, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import Recorder, under
+    from workloads import TRACE_TARGETS
+
+    rec = Recorder(TRACE_TARGETS)
+    rec.install()
+    try:
+        with rec.root("request", 0):
+            answer = keyword_im.best_effort_im(model, pre, model.vocab.words[:2], 5)
+    finally:
+        rec.uninstall()
+    names = [s.name for s in rec.spans]
+    assert {"mia.tree", "mia.marginal", "mia.finish", "celf", "bounds"} <= set(names)
+    assert 0 < names.count("mia.tree") <= answer.n_exact_evals  # one per user, cached
+    # Finishing the answer reuses the trees CELF built.
+    in_finish = under(rec.spans, "mia.finish")
+    assert not any(f for s, f in zip(rec.spans, in_finish) if s.name == "mia.tree")
