@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.mia import ap_map, edge_weights, mia_marginal, mia_sigma, mioa
+from repro.core.mia import edge_weights, mia_marginal, mia_sigma, mioa
 from repro.core.model import TopicAwareInfluenceModel
 from repro.influence.bounds import Precomputed, best_upper_bounds
 from repro.influence.celf import celf
@@ -121,10 +121,23 @@ def greedy_mia(graph, p_eff: np.ndarray, k: int, theta: float = 0.01, *,
     def marginal(u, seeds, ap_state):
         return mia_marginal(graph, p_eff, u, ap_state, theta, tree=tree_of(u))
 
+    # ap(S, ·) as mia.ap_map builds it, kept across rounds: celf calls
+    # state_update once up front and once per selection, so only the newest
+    # seed's tree is folded in, in seed order (the same floats).
+    one_minus: dict = {}
+    ap: dict = {}
+
+    def state_update(seeds):
+        if seeds:
+            for v, (p, _) in tree_of(seeds[-1]).items():
+                om = one_minus[v] = one_minus.get(v, 1.0) * (1.0 - p)
+                ap[v] = 1.0 - om
+        return ap
+
     return celf(
         range(graph.n), marginal, k,
         upper_bounds=upper_bounds,
-        state_update=lambda seeds: ap_map(graph, p_eff, seeds, theta, trees=trees),
+        state_update=state_update,
         epsilon=epsilon,
         warm_start=warm_start,
     )

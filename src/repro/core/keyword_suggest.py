@@ -15,15 +15,24 @@ with three efficiency devices, all reproduced here:
   ``r_e ≤ pp_max(e)`` is precomputed (a Spark fan-out job). Because
   ``pp_γ(e) ≤ pp_max(e)`` for every γ, any edge live under any query is
   in the stored subgraph; online evaluation never touches the full graph.
-* **pruning + delayed materialization** — a sample is materialized for a
-  query only if the target user is in its envelope subgraph at all;
-  γ-live reachability is then computed on the tiny stored subgraph.
+  Each sample keeps its edges as a Python in-adjacency
+  ``dst → [(src, eid, r_e), ...]``, and the index keeps an inverted list
+  ``by_user: user → [sample ids]`` of the envelopes that hold each user.
+* **pruning + delayed materialization** — an estimate visits only the
+  samples on the user's inverted list. It computes ``pp_γ`` once (one
+  (E, Z) @ γ matvec), and a reverse BFS from each monitor tests an edge's
+  γ-liveness ``r_e ≤ pp_γ(e)`` only when it reaches that edge, stopping as
+  soon as it meets the user.
 
 The estimator is unbiased: E[n/R · #{samples whose monitor the target
-reaches}] = σ_γ({target}) under IC.
+reaches}] = σ_γ({target}) under IC, with standard error n·√(p̂(1−p̂)/R),
+p̂ = estimate/n (:meth:`InfluencerIndex.stderr`).
 """
+import gc
 import itertools
-from dataclasses import dataclass
+import math
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
@@ -61,21 +70,20 @@ class _Sample:
 
     root: int
     eids: np.ndarray       # stored edge ids (global)
-    src: np.ndarray
-    dst: np.ndarray
     r: np.ndarray          # the coupled randomness of each stored edge
-    probs: np.ndarray      # (m, Z) per-topic probs of stored edges
-    nodes: frozenset       # envelope reverse-reachable node set (pruning)
-    in_adj: dict           # dst -> list of stored-edge positions
+    nodes: frozenset       # envelope reverse-reachable node set
+    in_adj: dict           # dst -> [(src, eid, r_e), ...] over the stored edges
 
 
 def _reverse_envelope(graph: LocalGraph, root: int, seed: int, sample_id: int,
-                      p_max: np.ndarray) -> _Sample:
+                      p_max: np.ndarray) -> tuple:
     """Reverse BFS from ``root`` keeping edges with r_e ≤ pp_max(e), one
     level at a time: the frontier's in-edges (each node's together, in CSR
     order) get their r_e in one :func:`edge_uniform` call, and the live
     edges' unseen sources, in first-seen order, form the next frontier.
-    ``p_max`` is ``graph.max_probs()``, computed once per build."""
+    ``p_max`` is ``graph.max_probs()``, computed once per build.
+
+    Returns the kept ``(eids, r, nodes)``, as :func:`_assemble_sample` takes them."""
     found = np.zeros(graph.n, dtype=bool)
     found[root] = True
     frontier = np.array([root], dtype=np.int64)
@@ -95,66 +103,97 @@ def _reverse_envelope(graph: LocalGraph, root: int, seed: int, sample_id: int,
         _, first = np.unique(srcs, return_index=True)
         frontier = srcs[np.sort(first)]
         found[frontier] = True
-    return _assemble_sample(graph, root, np.concatenate(kept_e), np.concatenate(kept_r),
-                            frozenset(np.flatnonzero(found).tolist()))
+    return (np.concatenate(kept_e), np.concatenate(kept_r),
+            frozenset(np.flatnonzero(found).tolist()))
 
 
 def _assemble_sample(graph: LocalGraph, root: int, eids: np.ndarray, r: np.ndarray,
                      nodes: frozenset) -> _Sample:
-    """Assemble one stored sample from its kept edges and their r_e."""
-    dst = graph.e_dst[eids]
+    """Assemble one stored sample from its kept edges and their r_e. The
+    in-adjacency holds plain Python objects, which the estimate's BFS reads
+    fastest."""
     in_adj: dict = {}
-    for pos, d in enumerate(dst.tolist()):
-        in_adj.setdefault(d, []).append(pos)
-    return _Sample(
-        root=root, eids=eids, src=graph.e_src[eids], dst=dst, r=r,
-        probs=graph.probs[eids], nodes=nodes, in_adj=in_adj,
-    )
+    for d, edge in zip(graph.e_dst[eids].tolist(),
+                       zip(graph.e_src[eids].tolist(), eids.tolist(), r.tolist())):
+        in_adj.setdefault(d, []).append(edge)
+    return _Sample(root=root, eids=eids, r=r, nodes=nodes, in_adj=in_adj)
+
+
+def _reaches(in_adj: dict, root: int, user: int, pp) -> bool:
+    """Whether ``user`` reaches ``root`` over edges with r_e ≤ pp_γ(e): a
+    reverse BFS from ``root`` that tests an edge's liveness only when it
+    reaches the edge (delayed materialization)."""
+    seen = {root}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u, e, r in in_adj.get(v, ()):
+                if r <= pp[e] and u not in seen:
+                    if u == user:
+                        return True
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return False
 
 
 @dataclass
 class InfluencerIndex:
-    """R monitor samples with coupled envelope subgraphs."""
+    """R monitor samples with coupled envelope subgraphs.
+
+    ``probs`` is the graph's (E, Z) per-topic edge-probability matrix,
+    shared, not copied. ``by_user[u]`` lists, in order, the ids of the
+    samples whose envelope holds ``u``: the only samples ``u``'s estimate
+    visits."""
 
     n: int
     R: int
     seed: int
     samples: list  # of _Sample
+    probs: np.ndarray = field(repr=False)
+    by_user: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.by_user = [[] for _ in range(self.n)]
+        for i, s in enumerate(self.samples):
+            for u in s.nodes:
+                self.by_user[u].append(i)
 
     def estimate(self, user: int, gamma: np.ndarray) -> float:
         """σ̂_γ({user}) = n/R · #{samples whose monitor ``user`` reaches
-        under r_e ≤ pp_γ(e)} — pruned by the envelope node sets."""
+        under r_e ≤ pp_γ(e)}, over the samples whose envelope holds ``user``."""
+        if not 0 <= user < self.n:
+            return 0.0  # not a user of the graph, so in no envelope
+        # One matvec per estimate; a memoryview reads single entries as
+        # Python floats without converting all E of them.
+        pp = memoryview(self.probs @ np.asarray(gamma, dtype=np.float64))
         hits = 0
-        gamma = np.asarray(gamma, dtype=np.float64)
-        for s in self.samples:
-            if user not in s.nodes:
-                continue  # pruning: not even envelope-reachable
-            if user == s.root:
-                hits += 1
-                continue
-            # Delayed materialization: γ-liveness only on the stored edges.
-            live = s.r <= (s.probs @ gamma)
-            found = {s.root}
-            frontier = [s.root]
-            reached = False
-            while frontier and not reached:
-                nxt = []
-                for v in frontier:
-                    for pos in s.in_adj.get(v, ()):
-                        if not live[pos]:
-                            continue
-                        u = int(s.src[pos])
-                        if u == user:
-                            reached = True
-                            break
-                        if u not in found:
-                            found.add(u)
-                            nxt.append(u)
-                    if reached:
-                        break
-                frontier = nxt
-            hits += int(reached)
+        for i in self.by_user[user]:
+            s = self.samples[i]
+            hits += user == s.root or _reaches(s.in_adj, s.root, user, pp)
         return self.n * hits / self.R
+
+    def stderr(self, est: float) -> float:
+        """Standard error of an estimate: n·√(p̂(1−p̂)/R), p̂ = est/n, the
+        binomial error of the hit fraction over R samples."""
+        p = est / self.n
+        return self.n * math.sqrt(p * (1.0 - p) / self.R)
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector while a build allocates its
+    samples. Their ~0.6 M adjacency tuples (R=300, SF 0.1) form no
+    reference cycles, yet their allocation count alone triggers collections
+    that walk the whole heap: 0.2 s of a 0.5 s local build."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _monitor_roots(n: int, R: int, seed: int) -> np.ndarray:
@@ -167,11 +206,12 @@ def build_influencer_index_local(
     """Driver-side index build (tests / tiny graphs)."""
     roots = _monitor_roots(graph.n, R, seed)
     p_max = graph.max_probs()
-    samples = [
-        _reverse_envelope(graph, int(root), seed, i, p_max)
-        for i, root in enumerate(roots)
-    ]
-    return InfluencerIndex(n=graph.n, R=R, seed=seed, samples=samples)
+    with _collector_paused():
+        samples = [
+            _assemble_sample(graph, int(root), *_reverse_envelope(graph, int(root), seed, i, p_max))
+            for i, root in enumerate(roots)
+        ]
+        return InfluencerIndex(n=graph.n, R=R, seed=seed, samples=samples, probs=graph.probs)
 
 
 def build_influencer_index_spark(
@@ -194,10 +234,10 @@ def build_influencer_index_spark(
             out_sid, out_root, out_eid = [], [], []
             for i in pdf["id"].to_numpy():
                 i = int(i)
-                s = _reverse_envelope(g, int(roots[i]), seed, i, p_max)
-                out_sid.extend([i] * max(len(s.eids), 1))
-                out_root.extend([s.root] * max(len(s.eids), 1))
-                out_eid.extend(s.eids.tolist() or [-1])
+                eids = _reverse_envelope(g, int(roots[i]), seed, i, p_max)[0]
+                out_sid.extend([i] * max(len(eids), 1))
+                out_root.extend([int(roots[i])] * max(len(eids), 1))
+                out_eid.extend(eids.tolist() or [-1])
             yield pd.DataFrame(
                 {"sample_id": out_sid, "root": out_root, "eid": out_eid}
             )
@@ -213,16 +253,17 @@ def build_influencer_index_spark(
     all_eids = rows["eid"].to_numpy(dtype=np.int64)
     cuts = np.searchsorted(sid, np.arange(R + 1))
     samples = []
-    for i in range(R):
-        root = int(roots[i])
-        eids = all_eids[cuts[i] : cuts[i + 1]]
-        eids = eids[eids >= 0]
-        nodes = frozenset(
-            {root} | set(graph.e_src[eids].tolist()) | set(graph.e_dst[eids].tolist())
-        )
-        r = edge_uniform(seed, i, eids)
-        samples.append(_assemble_sample(graph, root, eids, r, nodes))
-    return InfluencerIndex(n=graph.n, R=R, seed=seed, samples=samples)
+    with _collector_paused():
+        for i in range(R):
+            root = int(roots[i])
+            eids = all_eids[cuts[i] : cuts[i + 1]]
+            eids = eids[eids >= 0]
+            nodes = frozenset(
+                {root} | set(graph.e_src[eids].tolist()) | set(graph.e_dst[eids].tolist())
+            )
+            r = edge_uniform(seed, i, eids)
+            samples.append(_assemble_sample(graph, root, eids, r, nodes))
+        return InfluencerIndex(n=graph.n, R=R, seed=seed, samples=samples, probs=graph.probs)
 
 
 @dataclass
@@ -235,6 +276,13 @@ class SuggestResult:
     gamma: np.ndarray
     est_spread: float
     n_estimates: int
+    est_stderr: float | None = None  # index standard error; None for other estimators
+
+
+def _stderr(index: InfluencerIndex | None, est: float) -> float | None:
+    """``index``'s standard error of ``est``; None without an index, or
+    without an estimate (``est`` < 0: no candidate was scored)."""
+    return None if index is None or est < 0 else index.stderr(float(est))
 
 
 def _estimator(model: TopicAwareInfluenceModel, user: int, method: str,
@@ -292,8 +340,10 @@ def suggest_keywords(
             else mia_sigma_single(model.graph, model.edge_probs(gm), user, model.theta)
         )
         return SuggestResult(user=user, method="freq", keywords=W, gamma=gm,
-                             est_spread=float(sp), n_estimates=1)
+                             est_spread=float(sp), n_estimates=1,
+                             est_stderr=_stderr(index, sp))
     est = _estimator(model, user, method, index, n_mc, seed)
+    err_index = index if method == "index" else None  # error bars: index only
     n_est = 0
     if exhaustive:
         best, best_sp, best_gm = None, -1.0, None
@@ -304,7 +354,8 @@ def suggest_keywords(
             if sp > best_sp:
                 best, best_sp, best_gm = list(combo), sp, gm
         return SuggestResult(user=user, method=f"exhaustive-{method}", keywords=best,
-                             gamma=best_gm, est_spread=float(best_sp), n_estimates=n_est)
+                             gamma=best_gm, est_spread=float(best_sp), n_estimates=n_est,
+                             est_stderr=_stderr(err_index, best_sp))
     W: list = []
     gm = model.gamma(W)
     cur = -1.0
@@ -323,4 +374,5 @@ def suggest_keywords(
         W.append(best_w)
         gm, cur = best_gm, best_sp
     return SuggestResult(user=user, method=f"greedy-{method}", keywords=W, gamma=gm,
-                         est_spread=float(cur), n_estimates=n_est)
+                         est_spread=float(cur), n_estimates=n_est,
+                         est_stderr=_stderr(err_index, cur))

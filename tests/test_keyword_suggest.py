@@ -115,6 +115,25 @@ class TestEstimate:
             ratios.append(est / max(mc, 1e-9))
         assert 0.75 < float(np.mean(ratios)) < 1.33
 
+    def test_within_three_sigma_of_mc(self, graph):
+        """Each of the 6 highest-degree users' estimates lies within three
+        of its own standard errors of a 2 000-sample MC spread."""
+        index = build_influencer_index_local(graph, R=600, seed=11)
+        gm = np.full(graph.Z, 1.0 / graph.Z)
+        deg = np.bincount(graph.e_src, minlength=graph.n)
+        for u in np.argsort(-deg)[:6]:
+            est = index.estimate(int(u), gm)
+            mc = mc_spread_local(
+                graph, graph.effective_probs(gm), [int(u)], n_samples=2000, seed=1
+            )
+            assert abs(est - mc) <= 3 * index.stderr(est)
+
+    def test_stderr_is_binomial(self, graph, index):
+        p = 30 / graph.n
+        assert index.stderr(30.0) == pytest.approx(graph.n * np.sqrt(p * (1 - p) / index.R))
+        assert index.stderr(0.0) == 0.0
+        assert index.stderr(float(graph.n)) == 0.0
+
     def test_monotone_in_gamma_scale(self, graph, index):
         """Coupled liveness: scaling γ down scales every pp_γ(e) down, so
         the estimate can only shrink (the same r_e thresholds apply)."""
@@ -188,6 +207,23 @@ class TestSuggest:
         r = suggest_keywords(model, u, 2, method="index", index=index,
                              items_pdf=log.items)
         assert np.allclose(r.gamma, model.gamma(r.keywords))
+
+    def test_index_results_carry_their_stderr(self, model, log, index):
+        u = int(log.items["author"].value_counts().index[0])
+        cands = user_keywords(log.items, u, max_candidates=5)
+        for r in (
+            suggest_keywords(model, u, 2, method="index", index=index, candidates=cands),
+            suggest_keywords(model, u, 2, method="index", index=index, candidates=cands,
+                             exhaustive=True),
+            suggest_keywords(model, u, 2, method="freq", index=index, candidates=cands),
+        ):
+            assert r.est_stderr == index.stderr(r.est_spread)
+        for r in (
+            suggest_keywords(model, u, 1, method="mia", candidates=cands),
+            suggest_keywords(model, u, 2, method="freq", candidates=cands),
+            suggest_keywords(model, u, 0, method="index", index=index, candidates=cands),
+        ):
+            assert r.est_stderr is None
 
     def test_unknown_estimator_raises(self, model, log, index):
         u = int(log.items["author"].iloc[0])

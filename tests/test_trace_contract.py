@@ -1,9 +1,11 @@
 """The benchmark's traced run wraps engine functions by module attribute
-(``perfbench/workloads.TRACE_TARGETS``). A keyword-IM query must still
-call each wrapped name, or that layer's metric would silently read 0."""
+(``perfbench/workloads.TRACE_TARGETS``). A keyword-IM query and a keyword
+suggestion must still call each wrapped name, or that layer's metric would
+silently read 0."""
 from pathlib import Path
 
-from repro.core import keyword_im
+from repro.core import keyword_im, keyword_suggest
+from repro.topics.keywords import user_keywords
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -26,3 +28,25 @@ def test_best_effort_im_records_every_traced_layer(model, pre, monkeypatch):
     # Finishing the answer reuses the trees CELF built.
     in_finish = under(rec.spans, "mia.finish")
     assert not any(f for s, f in zip(rec.spans, in_finish) if s.name == "mia.tree")
+
+
+def test_suggest_keywords_records_every_index_estimate(model, log, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from spans import Recorder
+    from workloads import TRACE_TARGETS
+
+    index = keyword_suggest.build_influencer_index_local(model.graph, R=50, seed=0)
+    user = int(log.items["author"].value_counts().index[0])
+    cands = user_keywords(log.items, user, max_candidates=6)
+    rec = Recorder(TRACE_TARGETS)
+    rec.install()
+    try:
+        with rec.root("request", 0):
+            r = keyword_suggest.suggest_keywords(
+                model, user, 2, method="index", index=index, candidates=cands
+            )
+    finally:
+        rec.uninstall()
+    names = [s.name for s in rec.spans]
+    assert names.count("suggest") == 1
+    assert names.count("index.estimate") == r.n_estimates > 0
