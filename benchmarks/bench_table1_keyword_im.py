@@ -13,7 +13,6 @@ from repro.core.keyword_im import (
     naive_mc_im,
     naive_mia_im,
     naive_ris_im,
-    topic_sample_im,
 )
 from repro.experiments import default_queries, table1_keyword_im
 
@@ -56,13 +55,6 @@ def test_t1_query_best_effort(benchmark, wb, query):
     )
 
 
-def test_t1_query_topic_sample(benchmark, wb, query):
-    benchmark.pedantic(
-        lambda: topic_sample_im(wb.model, wb.pre, wb.samples, query, BENCH["k"]),
-        rounds=5, iterations=1,
-    )
-
-
 def test_t1_full_table(benchmark, wb):
     """The full sweep over all queries and methods → results/t1.md."""
 
@@ -77,7 +69,6 @@ def test_t1_full_table(benchmark, wb):
         "t1_keyword_im", t1,
         meta={
             "offline_precompute_s": round(wb.precompute_s, 1),
-            "offline_topic_samples_s": round(wb.samples_s, 1),
             "n_users": wb.net.n_users, "n_edges": wb.net.n_edges,
             **BENCH,
         },

@@ -4,12 +4,12 @@ import pytest
 
 from benchmarks.conftest import BENCH, write_table
 from repro.core.mia import miia, mioa
-from repro.experiments import table4_mia_paths
+from repro.experiments import table4_mia_paths, top_influencers
 
 
 @pytest.fixture(scope="module")
 def root(wb):
-    return int(wb.samples.seed_sets[0][0])  # a top influencer
+    return int(top_influencers(wb, 1)[0])  # the top influencer of topic 0
 
 
 def _topical_p_eff(wb):

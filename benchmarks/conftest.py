@@ -18,7 +18,7 @@ BENCH = dict(sf=0.1, Z=8, k=10, theta=0.01, sf_items=0.02, seed=7)
 def wb(spark):
     """The shared workbench; offline precompute runs on Spark once."""
     return build_workbench(
-        spark, sf=BENCH["sf"], Z=BENCH["Z"], k=BENCH["k"],
+        spark, sf=BENCH["sf"], Z=BENCH["Z"],
         theta=BENCH["theta"], sf_items=BENCH["sf_items"], seed=BENCH["seed"],
     )
 

@@ -13,7 +13,7 @@ def run(spark: SparkSession, *, sf: float = 0.1, Z: int = 8, k: int = 10,
         theta: float = 0.01, seed: int = 7, with_bounds_table: bool = True):
     """Run the offline precompute on Spark, then the T1 (+T2) sweeps.
     Returns (t1_df, t2_df_or_None, workbench)."""
-    wb = build_workbench(spark, sf=sf, Z=Z, k=k, theta=theta, seed=seed)
+    wb = build_workbench(spark, sf=sf, Z=Z, theta=theta, seed=seed)
     t1 = table1_keyword_im(wb, k=k)
     t2 = table2_bounds(wb, k=k) if with_bounds_table else None
     return t1, t2, wb
@@ -26,7 +26,7 @@ if __name__ == "__main__":
     a = std_parser(__doc__).parse_args()
     s = get_session("octopus-keyword-im")
     t1, t2, wb = run(s, sf=a.sf, Z=a.Z, k=a.k, theta=a.theta, seed=a.seed)
-    print(f"offline: precompute={wb.precompute_s:.1f}s topic-samples={wb.samples_s:.1f}s")
+    print(f"offline: precompute={wb.precompute_s:.1f}s")
     print("\n== Table T1: keyword-based IM ==")
     print(t1.to_string(index=False))
     print("\n== Table T2: bound effectiveness ==")

@@ -17,7 +17,7 @@ from repro.experiments import build_workbench, table4_mia_paths
 def run(spark: SparkSession, *, sf: float = 0.1, Z: int = 8,
         theta: float = 0.01, seed: int = 7):
     """Run the T4 sweep; returns (t4_df, paths_json_str, workbench)."""
-    wb = build_workbench(spark, sf=sf, Z=Z, k=10, theta=theta, seed=seed)
+    wb = build_workbench(spark, sf=sf, Z=Z, theta=theta, seed=seed)
     t4 = table4_mia_paths(wb)
     root = int(t4["root"].iloc[0])
     from repro.experiments import default_queries

@@ -13,7 +13,7 @@ def run(spark: SparkSession, *, sf: float = 0.1, Z: int = 8, k: int = 3,
         theta: float = 0.01, seed: int = 7, index_R: int = 300):
     """Build the influencer index on Spark and run the T3 sweep.
     Returns (t3_df, meta, workbench)."""
-    wb = build_workbench(spark, sf=sf, Z=Z, k=10, theta=theta, seed=seed)
+    wb = build_workbench(spark, sf=sf, Z=Z, theta=theta, seed=seed)
     t3, meta = table3_suggest(wb, spark, k=k, index_R=index_R, seed=seed)
     return t3, meta, wb
 

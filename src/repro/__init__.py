@@ -2,6 +2,6 @@
 influence analysis system, built end-to-end on PySpark DataFrames.
 
 Packages: ``graphlib`` (graph substrate), ``topics`` (keyword model + EM),
-``influence`` (spread estimation, CELF, bounds, topic samples), ``core``
-(the three OCTOPUS analysis tools), ``experiments`` (table harnesses).
+``influence`` (spread estimation, CELF, PB/NB bounds), ``core`` (the three
+OCTOPUS analysis tools), ``experiments`` (table harnesses).
 """

@@ -13,13 +13,14 @@ paper's narrative:
 * :func:`naive_mia_im` — greedy over MIA spread with *no* bounds (every
   user's tree evaluated in round one); isolates the benefit of bounds.
 * :func:`greedy_mia` — the one CELF-over-MIA loop behind both of those
-  and the topic-sample variant (bounds, ε and warm starts optional).
-* :func:`best_effort_im` — the paper's best-effort framework: PB/NB/LB
+  (bounds optional).
+* :func:`best_effort_im` — the paper's best-effort framework: min(PB, NB)
   upper bounds feed CELF so only promising users are ever evaluated.
   Output is identical to :func:`naive_mia_im` (guarantee preserved).
-* :func:`topic_sample_im` — adds the offline topic-sample index: stored
-  seed sets give warm starts + an ε tolerance, for the paper's
-  "theoretical guarantee" variant with even fewer evaluations.
+
+The topic-sample index of [3] (stored seed sets as warm starts) is not
+kept: with ε = 0 it made more exact evaluations than best-effort for the
+same seeds (EXPERIMENTS.md, T1).
 """
 from dataclasses import dataclass
 
@@ -30,7 +31,6 @@ from repro.core.model import TopicAwareInfluenceModel
 from repro.influence.bounds import Precomputed, best_upper_bounds
 from repro.influence.celf import celf
 from repro.influence.ris import ris_im
-from repro.influence.samples import TopicSampleIndex, warm_start_candidates
 from repro.influence.spread import mc_spread_local
 
 
@@ -96,16 +96,14 @@ def naive_ris_im(
 
 
 def greedy_mia(graph, p_eff: np.ndarray, k: int, theta: float = 0.01, *,
-               upper_bounds=None, epsilon: float = 0.0, warm_start=None,
-               trees: dict | None = None) -> tuple:
+               upper_bounds=None, trees: dict | None = None) -> tuple:
     """CELF greedy over MIA marginal gains on every user of ``graph``.
 
     Without ``upper_bounds`` it is plain greedy (every tree evaluated in
-    round one), the exact answer the bounded variants must reproduce; with
-    them it is the best-effort loop. ``epsilon`` and ``warm_start`` are
-    passed to :func:`celf`. Each user's MIOA is built at most once, on one
-    weight list, into ``trees`` (``{user: MIOA}``, a fresh dict if None),
-    which the caller may keep to finish the answer.
+    round one), the exact answer the bounded loop must reproduce; with
+    them it is the best-effort loop. Each user's MIOA is built at most
+    once, on one weight list, into ``trees`` (``{user: MIOA}``, a fresh
+    dict if None), which the caller may keep to finish the answer.
 
     Returns ``(seeds, spread, n_tree_evals)``.
     """
@@ -138,8 +136,6 @@ def greedy_mia(graph, p_eff: np.ndarray, k: int, theta: float = 0.01, *,
         range(graph.n), marginal, k,
         upper_bounds=upper_bounds,
         state_update=state_update,
-        epsilon=epsilon,
-        warm_start=warm_start,
     )
 
 
@@ -154,33 +150,12 @@ def naive_mia_im(model: TopicAwareInfluenceModel, keywords, k: int) -> IMAnswer:
 
 def best_effort_im(
     model: TopicAwareInfluenceModel, pre: Precomputed, keywords, k: int,
-    *, lb_refine_top: int = 0, radius: int = 2,
 ) -> IMAnswer:
-    """Best-effort framework: CELF keyed by min(PB, NB[, LB]) bounds."""
+    """Best-effort framework: CELF keyed by min(PB, NB) bounds."""
     gamma, p_eff = model.query_probs(keywords)
-    ub = best_upper_bounds(
-        model.graph, p_eff, pre, lb_refine_top=lb_refine_top, radius=radius
-    )
+    ub = best_upper_bounds(model.graph, p_eff, pre)
     trees: dict = {}
     seeds, total, n_evals = greedy_mia(
         model.graph, p_eff, k, model.theta, upper_bounds=ub, trees=trees
     )
     return _finish(model, "best-effort", keywords, gamma, p_eff, seeds, total, n_evals, trees)
-
-
-def topic_sample_im(
-    model: TopicAwareInfluenceModel, pre: Precomputed, index: TopicSampleIndex,
-    keywords, k: int, *, epsilon: float = 0.05, m_nearest: int = 3,
-    lb_refine_top: int = 0,
-) -> IMAnswer:
-    """Topic-sample accelerated variant: warm-start with the nearest
-    precomputed seed sets and accept ε-near-greedy picks."""
-    gamma, p_eff = model.query_probs(keywords)
-    ub = best_upper_bounds(model.graph, p_eff, pre, lb_refine_top=lb_refine_top)
-    warm = warm_start_candidates(index, gamma, m=m_nearest)[: 2 * k]
-    trees: dict = {}
-    seeds, total, n_evals = greedy_mia(
-        model.graph, p_eff, k, model.theta,
-        upper_bounds=ub, epsilon=epsilon, warm_start=warm, trees=trees,
-    )
-    return _finish(model, "topic-sample", keywords, gamma, p_eff, seeds, total, n_evals, trees)

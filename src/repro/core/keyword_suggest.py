@@ -324,7 +324,8 @@ def suggest_keywords(
     the OCTOPUS engine), ``mc`` (from-scratch Monte-Carlo, the slow
     baseline), ``mia``, or ``freq`` (no spread — frequency baseline).
     ``exhaustive=True`` scores every k-subset (test-scale only);
-    otherwise keywords are added greedily.
+    otherwise keywords are added greedily. With no candidates both return
+    ``keywords=[]`` and the spread under the empty keyword set (γ = π).
     """
     items = items_pdf if items_pdf is not None else model.items
     if candidates is None:
@@ -373,6 +374,9 @@ def suggest_keywords(
             break
         W.append(best_w)
         gm, cur = best_gm, best_sp
+    if not candidates:  # score γ = π, as the exhaustive path does
+        cur = est(gm)
+        n_est += 1
     return SuggestResult(user=user, method=f"greedy-{method}", keywords=W, gamma=gm,
                          est_spread=float(cur), n_estimates=n_est,
                          est_stderr=_stderr(err_index, cur))

@@ -5,7 +5,7 @@ OCTOPUS restricts influence paths of a user ``u`` to a tree rooted at
 below a threshold ``θ``. This module provides:
 
 * :func:`mia_search` — the one Dijkstra kernel every tree in the system
-  runs on: forward or reverse, with an optional hop limit (the LB bound).
+  runs on, forward or reverse.
 * :func:`mioa` / :func:`miia` — forward / reverse arborescences (the
   online path-exploration engine).
 * :func:`mia_sigma` / :func:`mia_marginal` — per-seed-set spread and
@@ -51,32 +51,29 @@ def edge_weights(graph: LocalGraph, p_eff: np.ndarray, *, forward: bool = True) 
 
 
 def mia_search(graph: LocalGraph, weights, root: int, theta: float = 0.01,
-               *, forward: bool = True, max_hops: int | None = None) -> tuple:
+               *, forward: bool = True) -> tuple:
     """Max-probability paths from ``root`` (into ``root`` when
     ``forward=False``) with probability ≥ θ, by Dijkstra on ``weights``
     from :func:`edge_weights` for the same direction (array or list).
 
-    Returns ``(dist, parent, hops)``: −log path probability and tree
-    parent per reached node (the root maps to ``0.0`` / ``-1``). With
-    ``max_hops``, nodes whose best path has that many hops are not
-    expanded and ``hops`` holds each node's hop count; otherwise it is
-    ``None``.
+    Returns ``(dist, parent)``: −log path probability and tree parent per
+    reached node (the root maps to ``0.0`` / ``-1``). Raises
+    ``ValueError`` for a root outside [0, n) or θ outside [0, 1].
     """
+    if not 0 <= root < graph.n:
+        raise ValueError(f"root {root} is not a user of a {graph.n}-user graph")
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError(f"theta {theta} is outside [0, 1]")
     ptr, nbr = graph.adjacency_lists(forward)
     lim = -log(theta) + 1e-12 if theta > 0 else sys.float_info.max
     dist = {root: 0.0}
     parent = {root: -1}
-    hops = None if max_hops is None else {root: 0}
     heap = [(0.0, root)]
     pop, push, get = heapq.heappop, heapq.heappush, dist.get
     while heap:
         d, u = pop(heap)
         if d > dist[u]:
             continue  # stale entry: u was settled at a shorter distance
-        if hops is not None:
-            h = hops[u] + 1
-            if h > max_hops:
-                continue
         for i in range(ptr[u], ptr[u + 1]):
             nd = d + weights[i]
             if nd <= lim:
@@ -84,10 +81,8 @@ def mia_search(graph: LocalGraph, weights, root: int, theta: float = 0.01,
                 if nd < get(v, _INF) - 1e-15:
                     dist[v] = nd
                     parent[v] = u
-                    if hops is not None:
-                        hops[v] = h
                     push(heap, (nd, v))
-    return dist, parent, hops
+    return dist, parent
 
 
 def mioa(graph: LocalGraph, p_eff: np.ndarray, root: int, theta: float = 0.01,
@@ -102,7 +97,7 @@ def mioa(graph: LocalGraph, p_eff: np.ndarray, root: int, theta: float = 0.01,
     """
     if weights is None:
         weights = edge_weights(graph, p_eff)
-    dist, parent, _ = mia_search(graph, weights, root, theta)
+    dist, parent = mia_search(graph, weights, root, theta)
     return {v: (exp(-d), parent[v]) for v, d in dist.items()}
 
 
@@ -114,7 +109,7 @@ def miia(graph: LocalGraph, p_eff: np.ndarray, root: int, theta: float = 0.01,
     ``weights`` must come from ``edge_weights(graph, p_eff, forward=False)``."""
     if weights is None:
         weights = edge_weights(graph, p_eff, forward=False)
-    dist, parent, _ = mia_search(graph, weights, root, theta, forward=False)
+    dist, parent = mia_search(graph, weights, root, theta, forward=False)
     return {v: (exp(-d), parent[v]) for v, d in dist.items()}
 
 

@@ -10,7 +10,7 @@ query. The two model operations are:
   must run per query, provided both as a numpy path and as a Catalyst
   expression over the edge DataFrame (oracle-checked).
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd

@@ -20,7 +20,6 @@ from repro.core.keyword_im import (
     naive_mc_im,
     naive_mia_im,
     naive_ris_im,
-    topic_sample_im,
 )
 from repro.core.keyword_suggest import (
     build_influencer_index_local,
@@ -29,15 +28,7 @@ from repro.core.keyword_suggest import (
 )
 from repro.core.mia import extract_paths, miia, mioa, mia_sigma_single
 from repro.core.model import TopicAwareInfluenceModel
-from repro.influence.bounds import (
-    best_upper_bounds,
-    lb_bound,
-    nb_bounds,
-    pb_bounds,
-    precompute_local,
-    precompute_spark,
-)
-from repro.influence.samples import build_topic_samples_local, build_topic_samples_spark
+from repro.influence.bounds import nb_bounds, pb_bounds, precompute_local, precompute_spark
 from repro.influence.spread import mc_spread_local, simulate_cascade, _sample_rng
 from repro.topics.em import em_fit_local, em_fit_spark, recovery_scores
 from repro.topics.keywords import user_keywords
@@ -45,15 +36,13 @@ from repro.topics.keywords import user_keywords
 
 @dataclass
 class Workbench:
-    """Shared experiment state: network + model + offline indexes."""
+    """Shared experiment state: network + model + offline σ_max index."""
 
     net: object
     log: object
     model: TopicAwareInfluenceModel
     pre: object
-    samples: object
     precompute_s: float
-    samples_s: float
 
 
 def default_queries(net, n_mixed: int = 2) -> list:
@@ -69,10 +58,17 @@ def default_queries(net, n_mixed: int = 2) -> list:
     return per_topic + mixed
 
 
+def top_influencers(wb: Workbench, n: int) -> list:
+    """The first ``n`` greedy-MIA seeds under pure topic 0 (unbounded CELF,
+    so the exact greedy order)."""
+    g = wb.model.graph
+    seeds, _, _ = greedy_mia(g, g.effective_probs(np.eye(g.Z)[0]), n, wb.model.theta)
+    return seeds
+
+
 def build_workbench(
-    spark=None, *, sf: float = 0.1, Z: int = 8, k: int = 10,
+    spark=None, *, sf: float = 0.1, Z: int = 8,
     theta: float = 0.01, sf_items: float = 0.02, seed: int = 7,
-    n_random_samples: int = 8,
 ) -> Workbench:
     """Generate the network/action log and run the offline precomputation
     (on Spark when a session is given, else the local mirrors)."""
@@ -85,18 +81,7 @@ def build_workbench(
     else:
         pre = precompute_local(model.graph, theta=theta)
     pre_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    if spark is not None:
-        samples = build_topic_samples_spark(
-            spark, model.graph, k=k, theta=theta, n_random=n_random_samples, seed=seed
-        )
-    else:
-        samples = build_topic_samples_local(
-            model.graph, k=k, theta=theta, n_random=n_random_samples, seed=seed
-        )
-    samples_s = time.perf_counter() - t0
-    return Workbench(net=net, log=log, model=model, pre=pre, samples=samples,
-                     precompute_s=pre_s, samples_s=samples_s)
+    return Workbench(net=net, log=log, model=model, pre=pre, precompute_s=pre_s)
 
 
 # ---------------------------------------------------------------------- T1
@@ -113,7 +98,7 @@ def table1_keyword_im(
     comparable across methods). ``spread_vs_greedy`` normalizes MC spread
     by the naive-MIA (exact greedy) answer for the same query.
     """
-    model, pre, samples = wb.model, wb.pre, wb.samples
+    model, pre = wb.model, wb.pre
     queries = queries or default_queries(wb.net)
     rows = []
     for qi, W in enumerate(queries):
@@ -134,9 +119,6 @@ def table1_keyword_im(
         runs.append((a, time.perf_counter() - t0))
         t0 = time.perf_counter()
         a = best_effort_im(model, pre, W, k)
-        runs.append((a, time.perf_counter() - t0))
-        t0 = time.perf_counter()
-        a = topic_sample_im(model, pre, samples, W, k)
         runs.append((a, time.perf_counter() - t0))
         if include_naive_mc:
             deg = np.bincount(model.graph.e_src, minlength=model.graph.n)
@@ -164,7 +146,7 @@ def table1_keyword_im(
 # ---------------------------------------------------------------------- T2
 def table2_bounds(
     wb: Workbench, *, k: int = 10, queries: list | None = None,
-    n_eval_users: int = 300, lb_radius: int = 2, seed: int = 0,
+    n_eval_users: int = 300, seed: int = 0,
 ) -> pd.DataFrame:
     """Bound-family effectiveness.
 
@@ -183,35 +165,17 @@ def table2_bounds(
         exact = np.array(
             [mia_sigma_single(g, p_eff, int(u), model.theta) for u in users]
         )
-        fams = {
-            "PB": pb_bounds(pre)[users],
-            "NB": nb_bounds(g, p_eff, pre)[users],
-            "LB": np.array(
-                [lb_bound(g, p_eff, pre, int(u), radius=lb_radius, theta=model.theta)
-                 for u in users]
-            ),
-        }
+        fams = {"PB": pb_bounds(pre), "NB": nb_bounds(g, p_eff, pre)}
         fams["min(PB,NB)"] = np.minimum(fams["PB"], fams["NB"])
-        for fam, ub in fams.items():
-            if fam == "PB":
-                full = pb_bounds(pre)
-            elif fam == "NB":
-                full = nb_bounds(g, p_eff, pre)
-            elif fam == "LB":
-                full = None  # too expensive to run for all users; tightness only
-            else:
-                full = np.minimum(pb_bounds(pre), nb_bounds(g, p_eff, pre))
-            if full is not None:
-                _, _, n_evals = greedy_mia(g, p_eff, k, model.theta, upper_bounds=full)
-                pruned = 1.0 - n_evals / g.n
-            else:
-                pruned = float("nan")
+        for fam, full in fams.items():
+            ub = full[users]
+            _, _, n_evals = greedy_mia(g, p_eff, k, model.theta, upper_bounds=full)
             rows.append(
                 {
                     "query": " ".join(W), "bound": fam,
                     "valid": bool((ub >= exact - 1e-9).all()),
                     "mean_tightness": round(float(np.mean(ub / np.maximum(exact, 1e-9))), 3),
-                    "frac_pruned": round(pruned, 4) if pruned == pruned else float("nan"),
+                    "frac_pruned": round(1.0 - n_evals / g.n, 4),
                 }
             )
     return pd.DataFrame(rows)
@@ -296,8 +260,8 @@ def table4_mia_paths(
 
     The exploration happens under a *topical* query (the demo explores
     how a researcher influences their area), default: the first
-    two-keyword topic query. Roots are that topic's top greedy
-    influencers. Per (root, θ): MIOA tree size/depth/#clusters + latency;
+    two-keyword topic query. Roots are the first ``n_roots`` greedy-MIA
+    seeds under pure topic 0. Per (root, θ): MIOA tree size/depth/#clusters + latency;
     the reverse MIIA size; and the MC influence-region baseline (nodes
     with activation prob ≥ θ estimated from ``mc_region_samples``
     cascades) with its latency and node-set Jaccard vs the MIA tree.
@@ -308,10 +272,7 @@ def table4_mia_paths(
         keywords = default_queries(wb.net)[0]
     gamma = model.gamma(keywords)
     p_eff = g.effective_probs(gamma)
-    roots = [s for ss in wb.samples.seed_sets[:1] for s in ss][:n_roots]
-    if len(roots) < n_roots:
-        deg = np.bincount(g.e_src, minlength=g.n)
-        roots = np.argsort(-deg)[:n_roots].tolist()
+    roots = top_influencers(wb, n_roots)
     rows = []
     for root in roots:
         root = int(root)

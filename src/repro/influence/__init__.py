@@ -1,7 +1,7 @@
 """Influence-computation substrate: Monte-Carlo live-edge spread, reverse
-reachable set (RIS) sampling, CELF lazy greedy, the PB/NB/LB upper bounds
-of the best-effort framework, and the topic-sample precomputation index."""
+reachable set (RIS) sampling, CELF lazy greedy, and the PB/NB upper bounds
+of the best-effort framework."""
 
 from repro.influence.celf import celf  # noqa: F401
-from repro.influence.spread import mc_spread_local, mc_spread_spark  # noqa: F401
+from repro.influence.spread import mc_spread_local  # noqa: F401
 from repro.influence.ris import greedy_max_cover, ris_im, rr_sets_local  # noqa: F401

@@ -1,9 +1,9 @@
 """Upper-bound estimation for the best-effort framework (paper §II-C).
 
 The paper: "we devise precomputation based, local graph based, and
-neighborhood based methods" for "effective bound estimation". All three
-are implemented here, with validity proved under the MIA spread model
-(DESIGN.md §4) from the envelope pp_γ(e) ≤ pp_max(e) := max_z pp^z_e:
+neighborhood based methods" for "effective bound estimation". Two are
+kept here, with validity proved under the MIA spread model (DESIGN.md §4)
+from the envelope pp_γ(e) ≤ pp_max(e) := max_z pp^z_e:
 
 * **PB** (precomputation-based): σ_γ(u) ≤ σ_max(u), the MIA spread on the
   query-independent max-prob graph — precomputed offline for every user
@@ -11,21 +11,17 @@ are implemented here, with validity proved under the MIA spread model
 * **NB** (neighborhood-based): σ_γ(u) ≤ 1 + Σ_{v∈N_out(u)} pp_γ(u,v)·σ_max(v)
   — every max-prob path factors through a first hop. O(out-degree) per
   user, fully vectorized across all users.
-* **LB** (local-graph-based): exact MIA inside a radius-``r`` ball around
-  ``u`` under the *query* probabilities, plus the boundary tail
-  Σ_{v at depth r} ap_γ(u,v)·(σ_max(v) − 1). Tightest, costs one small
-  hop-limited Dijkstra — used to refine the most promising candidates.
 
-Every tree here runs on the one MIA kernel, ``core.mia.mia_search``.
+The local-graph bound is not kept: it cut exact evaluations but cost
+more time than it saved at every scale measured (EXPERIMENTS.md, T2). The
+driver-side precompute runs on the one MIA kernel (``core.mia.mioa``).
 """
 from dataclasses import dataclass
-from math import exp
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
-from repro.core.mia import edge_weights, mia_search, mioa
+from repro.core.mia import edge_weights, mioa
 from repro.graphlib.builder import LocalGraph
 from repro.graphlib.traversal import influence_region_stats, max_prob_reach
 
@@ -93,63 +89,6 @@ def nb_bounds(graph: LocalGraph, p_eff: np.ndarray, pre: Precomputed) -> np.ndar
     return b
 
 
-def lb_bound(
-    graph: LocalGraph,
-    p_eff: np.ndarray,
-    pre: Precomputed,
-    u: int,
-    *,
-    radius: int = 2,
-    theta: float = 0.01,
-    weights=None,
-) -> float:
-    """Local-graph bound for one user: exact MIA in the radius-``r`` ball
-    under the query probabilities + σ_max boundary tail. ``weights``
-    (``edge_weights(graph, p_eff).tolist()``) is shared across the users
-    of one query."""
-    if weights is None:
-        weights = edge_weights(graph, p_eff)
-    dist, _, hops = mia_search(graph, weights, u, theta, max_hops=radius)
-    total = 0.0
-    for v, d in dist.items():
-        ap = exp(-d)
-        total += ap
-        if hops[v] == radius:
-            total += ap * max(pre.sigma_max[v] - 1.0, 0.0)
-    return total
-
-
-def best_upper_bounds(
-    graph: LocalGraph,
-    p_eff: np.ndarray,
-    pre: Precomputed,
-    *,
-    lb_refine_top: int = 0,
-    radius: int = 2,
-) -> np.ndarray:
-    """(n,) combined bound min(PB, NB), optionally tightened with LB on
-    the ``lb_refine_top`` largest candidates (LB costs a small Dijkstra
-    each, so it is spent where it matters)."""
-    ub = np.minimum(pb_bounds(pre), nb_bounds(graph, p_eff, pre))
-    if lb_refine_top > 0:
-        weights = edge_weights(graph, p_eff).tolist()
-        top = np.argsort(-ub)[:lb_refine_top]
-        for u in top:
-            ub[u] = min(ub[u], lb_bound(graph, p_eff, pre, int(u), radius=radius,
-                                        theta=pre.theta, weights=weights))
-    return ub
-
-
-def nb_bounds_spark(
-    spark: SparkSession, edges_df: DataFrame, sigma_df: DataFrame
-) -> DataFrame:
-    """NB bound as a Spark dataflow (oracle-checkable): edges (src,dst,p)
-    ⋈ per-user σ_max (user_id, sigma_max) → (user_id, nb_bound)."""
-    joined = edges_df.join(
-        sigma_df.withColumnRenamed("user_id", "dst"), "dst"
-    ).select("src", (F.col("p") * F.col("sigma_max")).alias("contrib"))
-    return (
-        joined.groupBy(F.col("src").alias("user_id"))
-        .agg((F.lit(1.0) + F.sum("contrib")).alias("nb_bound"))
-        .orderBy("user_id")
-    )
+def best_upper_bounds(graph: LocalGraph, p_eff: np.ndarray, pre: Precomputed) -> np.ndarray:
+    """(n,) combined bound min(PB, NB), the key best-effort CELF starts from."""
+    return np.minimum(pb_bounds(pre), nb_bounds(graph, p_eff, pre))

@@ -5,12 +5,11 @@ Submodularity makes marginal gains non-increasing as the seed set grows,
 so a stale gain is a valid upper bound and most candidates never need
 re-evaluation. OCTOPUS's best-effort framework plugs in *precomputed*
 upper bounds as the initial keys ("preferentially computes the exact
-influence spread for the users with larger upper bounds"); the
-topic-sample variant adds warm-start candidates (evaluated exactly up
-front) and an ``epsilon`` tolerance, giving the (1 − 1/e − kε)-style
-guarantee of [3] while skipping most exact evaluations. With
-``epsilon=0`` the output is identical to plain greedy whenever every
-initial key dominates the true first-round gain.
+influence spread for the users with larger upper bounds"). The output is
+identical to plain greedy whenever every initial key dominates the true
+first-round gain. The loop also takes warm-start candidates (evaluated
+exactly up front) and an ``epsilon`` tolerance, the (1 − 1/e − kε)-style
+relaxation of [3]; no IM variant in this repo sets them.
 """
 import heapq
 
@@ -33,7 +32,7 @@ def celf(
     marginal_fn : ``f(u, seeds, state) -> float`` exact marginal gain of
         ``u`` on top of ``seeds``; ``state`` is whatever ``state_update``
         returned for the current seed set (e.g. an activation-prob map).
-    k : number of seeds.
+    k : number of seeds, ≥ 0 (``ValueError`` otherwise).
     upper_bounds : optional ``{u: bound}`` or array-like indexed by ``u``.
         When given, candidates start in the queue keyed by their bound and
         are only evaluated exactly when they surface — the best-effort
@@ -45,11 +44,13 @@ def celf(
         ``g ≥ (1 − ε)·(best remaining key)`` — 0 means exact greedy. An
         exact tie goes to the smaller id (heap order), as in plain greedy.
     warm_start : optional candidate list evaluated exactly before the lazy
-        loop (the topic-sample seed sets), so strong fresh entries are in
-        the queue from the start and prune bound-keyed entries.
+        loop, so strong fresh entries are in the queue from the start and
+        prune bound-keyed entries.
 
     Returns ``(seeds, total_spread_gain, n_exact_evaluations)``.
     """
+    if k < 0:
+        raise ValueError(f"k = {k}: the number of seeds cannot be negative")
     state = state_update([]) if state_update is not None else None
     heap: list = []
     n_evals = 0

@@ -9,8 +9,6 @@ the keyword-suggestion tool (coupled, topic-aware variant lives in
 ``core/keyword_suggest.py``).
 """
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.graphlib.builder import LocalGraph
 
@@ -56,37 +54,6 @@ def rr_sets_local(
         root = int(rng.integers(0, graph.n))
         out.append(rr_set(graph, p_eff, root, rng))
     return out
-
-
-def rr_sets_spark(
-    spark: SparkSession,
-    graph: LocalGraph,
-    p_eff: np.ndarray,
-    *,
-    R: int = 500,
-    seed: int = 0,
-) -> DataFrame:
-    """Distributed RR-set generation: (set_id, node) rows, one group per
-    sampled root — identical sets to :func:`rr_sets_local` (coupled)."""
-    g_args = (
-        graph.n, graph.Z, graph.e_src, graph.e_dst, graph.probs,
-        graph.out_ptr, graph.out_eid, graph.in_ptr, graph.in_eid,
-    )
-    p_eff = np.asarray(p_eff, dtype=np.float64)
-
-    def run(batches):
-        g = LocalGraph(*g_args)
-        for pdf in batches:
-            ids, nodes = [], []
-            for i in pdf["id"].to_numpy():
-                rng = _rr_rng(seed, int(i))
-                root = int(rng.integers(0, g.n))
-                s = rr_set(g, p_eff, root, rng)
-                ids.extend([int(i)] * len(s))
-                nodes.extend(sorted(s))
-            yield pd.DataFrame({"set_id": ids, "node": nodes})
-
-    return spark.range(R).mapInPandas(run, schema="set_id long, node long")
 
 
 def greedy_max_cover(rr_sets: list, k: int, n: int) -> tuple:

@@ -5,13 +5,11 @@ the engine inside the paper's naive baseline ("compute pp_{u,v} for each
 edge given the query and then employ the traditional IM algorithms").
 
 Sampling is *coupled by sample id*: sample ``i`` always uses the RNG
-stream ``default_rng(seed * 1_000_003 + i)``, so the local kernel and the
-Spark ``mapInPandas`` fan-out produce bitwise-identical simulations and
-their means are exactly equal — the distribution of work is testable.
+stream ``default_rng(seed * 1_000_003 + i)``, so an estimate is
+deterministic in ``seed`` and estimates of different seed sets share their
+random streams (T4's influence regions draw them one sample at a time).
 """
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.graphlib.builder import LocalGraph
 
@@ -57,55 +55,3 @@ def mc_spread_local(
     for i in range(n_samples):
         total += len(simulate_cascade(graph, p_eff, seeds, _sample_rng(seed, i)))
     return total / n_samples
-
-
-def mc_spread_samples_spark(
-    spark: SparkSession,
-    graph: LocalGraph,
-    p_eff: np.ndarray,
-    seeds,
-    *,
-    n_samples: int = 200,
-    seed: int = 0,
-) -> DataFrame:
-    """Distributed cascade fan-out: one row per sample id, simulated in
-    ``mapInPandas`` workers over the (closure-captured) graph arrays.
-    Returns (sample_id, activated)."""
-    seeds = [int(s) for s in seeds]
-    g_args = (
-        graph.n, graph.Z, graph.e_src, graph.e_dst, graph.probs,
-        graph.out_ptr, graph.out_eid, graph.in_ptr, graph.in_eid,
-    )
-    p_eff = np.asarray(p_eff, dtype=np.float64)
-
-    def run(batches):
-        g = LocalGraph(*g_args)
-        for pdf in batches:
-            ids = pdf["id"].to_numpy()
-            out = [
-                len(simulate_cascade(g, p_eff, seeds, _sample_rng(seed, int(i))))
-                for i in ids
-            ]
-            yield pd.DataFrame({"sample_id": ids, "activated": out})
-
-    return spark.range(n_samples).mapInPandas(
-        run, schema="sample_id long, activated long"
-    )
-
-
-def mc_spread_spark(
-    spark: SparkSession,
-    graph: LocalGraph,
-    p_eff: np.ndarray,
-    seeds,
-    *,
-    n_samples: int = 200,
-    seed: int = 0,
-) -> float:
-    """Distributed mean spread; exactly equals :func:`mc_spread_local`
-    with the same arguments (coupled sampling)."""
-    df = mc_spread_samples_spark(
-        spark, graph, p_eff, seeds, n_samples=n_samples, seed=seed
-    )
-    row = df.agg({"activated": "avg"}).collect()[0]
-    return float(row[0])

@@ -1,23 +1,16 @@
 """Bound families: validity (dominate exact MIA spreads for arbitrary
-queries), local↔Spark precompute equality, and the NB dataflow oracle."""
+queries) and local↔Spark precompute equality."""
 import numpy as np
-import pandas as pd
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.mia import mia_sigma_single
-from repro.graphlib.builder import effective_edges_pdf
 from repro.influence.bounds import (
     best_upper_bounds,
-    lb_bound,
     nb_bounds,
-    nb_bounds_spark,
     pb_bounds,
     precompute_local,
     precompute_spark,
 )
-from repro.oracle import assert_equivalent
 from tests.conftest import random_local_graph
 
 
@@ -61,14 +54,6 @@ class TestValidity:
         p_eff, users, exact = self._setup(graph, pre, qseed)
         assert (nb_bounds(graph, p_eff, pre)[users] >= exact - 1e-9).all()
 
-    def test_lb(self, graph, pre, qseed):
-        p_eff, users, exact = self._setup(graph, pre, qseed)
-        lb = np.array(
-            [lb_bound(graph, p_eff, pre, int(u), radius=2, theta=pre.theta)
-             for u in users]
-        )
-        assert (lb >= exact - 1e-9).all()
-
     def test_min_combination(self, graph, pre, qseed):
         p_eff, users, exact = self._setup(graph, pre, qseed)
         ub = best_upper_bounds(graph, p_eff, pre)
@@ -84,50 +69,3 @@ class TestBoundShapes:
         sinks = [u for u in range(g.n) if len(g.out_edges(u)) == 0]
         for u in sinks:
             assert abs(nb[u] - 1.0) < 1e-12
-
-    def test_lb_refinement_never_loosens(self, graph, pre):
-        gm = dirichlet_gamma(5, graph.Z)
-        p_eff = graph.effective_probs(gm)
-        base = best_upper_bounds(graph, p_eff, pre)
-        refined = best_upper_bounds(graph, p_eff, pre, lb_refine_top=20)
-        assert (refined <= base + 1e-12).all()
-
-    def test_lb_radius_zero_is_sigma_style_bound(self, graph, pre):
-        """radius=0: bound collapses to 1·σ_max(u) (the PB value)."""
-        gm = dirichlet_gamma(6, graph.Z)
-        p_eff = graph.effective_probs(gm)
-        for u in (0, 5, 11):
-            b = lb_bound(graph, p_eff, pre, u, radius=0, theta=pre.theta)
-            assert abs(b - pre.sigma_max[u]) < 1e-9
-
-
-class TestNbSpark:
-    def test_matches_numpy_and_oracle(self, spark, graph, pre):
-        gm = dirichlet_gamma(7, graph.Z)
-        p_eff = graph.effective_probs(gm)
-        edges_pdf = effective_edges_pdf(graph, gm)
-        sigma_pdf = pd.DataFrame(
-            {"user_id": np.arange(graph.n), "sigma_max": pre.sigma_max}
-        )
-        got = nb_bounds_spark(
-            spark,
-            spark.createDataFrame(edges_pdf),
-            spark.createDataFrame(sigma_pdf),
-        )
-        # numpy equivalence (for users that have out-edges)
-        nb = nb_bounds(graph, p_eff, pre)
-        pdf = got.toPandas()
-        for r in pdf.itertuples():
-            assert abs(r.nb_bound - nb[int(r.user_id)]) < 1e-9
-        # DuckDB oracle on the dataflow itself
-        assert_equivalent(
-            got,
-            """
-            SELECT e.src AS user_id,
-                   1.0 + sum(e.p * s.sigma_max) AS nb_bound
-            FROM edges e JOIN sigma s ON e.dst = s.user_id
-            GROUP BY e.src ORDER BY user_id
-            """,
-            edges=edges_pdf,
-            sigma=sigma_pdf,
-        )

@@ -225,6 +225,19 @@ class TestSuggest:
         ):
             assert r.est_stderr is None
 
+    @pytest.mark.parametrize("method", ["index", "mia"])
+    def test_no_candidates_scores_the_prior(self, model, log, index, method):
+        """Greedy and exhaustive agree on an empty pool: no keywords, and
+        the spread under γ = π rather than a sentinel."""
+        u = int(log.items["author"].value_counts().index[0])
+        g = suggest_keywords(model, u, 2, method=method, index=index, candidates=[])
+        e = suggest_keywords(model, u, 2, method=method, index=index, candidates=[],
+                             exhaustive=True)
+        assert g.keywords == e.keywords == []
+        assert g.est_spread == e.est_spread >= 0.0
+        assert g.n_estimates == e.n_estimates == 1
+        assert np.allclose(g.gamma, model.gamma([]))
+
     def test_unknown_estimator_raises(self, model, log, index):
         u = int(log.items["author"].iloc[0])
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from repro.core.mia import (
     miia,
     mioa,
 )
+from repro.graphlib.builder import LocalGraph
 from tests.conftest import random_local_graph
 
 
@@ -66,6 +67,15 @@ class TestMioaClosedForm:
         assert tree == {3: (1.0, -1)}
 
 
+@pytest.mark.parametrize("tree_fn", [mioa, miia])
+@pytest.mark.parametrize("root, theta", [(-1, 0.01), (4, 0.01), (0, -1.0), (0, 2.0)])
+def test_out_of_range_root_or_theta_raises(chain_graph, tree_fn, root, theta):
+    """Roots outside [0, n) and θ outside [0, 1] are errors, not a
+    one-node tree, an IndexError, or a silently clamped θ."""
+    with pytest.raises(ValueError):
+        tree_fn(chain_graph, chain_graph.probs[:, 0], root, theta)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("root", [0, 7])
 def test_mioa_matches_bruteforce(seed, root):
@@ -82,8 +92,7 @@ def test_mioa_matches_bruteforce(seed, root):
 def test_miia_equals_mioa_on_reversed(seed):
     g = random_local_graph(seed, n=15, Z=1)
     p = g.probs[:, 0]
-    r = g.reversed()
-    # reversed() reorders edges; build its effective probs from its own matrix
+    r = LocalGraph.from_edges(g.e_dst, g.e_src, g.probs, n=g.n)
     pr = r.probs[:, 0]
     for root in (0, 5):
         a = miia(g, p, root, theta=0.02)

@@ -1,6 +1,6 @@
 """Properties of the MIA kernel on random graphs with zero-probability
 edges: trees equal max-probability paths (forward and reverse, θ at its
-limits), the hop-limited LB dominates the exact spread, and best-effort
+limits), PB, NB and min(PB, NB) dominate the exact spread, and best-effort
 returns the exact greedy answer for every k up to n."""
 import numpy as np
 from hypothesis import given, settings
@@ -10,7 +10,7 @@ from repro.core.keyword_im import best_effort_im, naive_mia_im
 from repro.core.mia import mia_sigma_single, miia, mioa
 from repro.core.model import TopicAwareInfluenceModel
 from repro.graphlib.builder import LocalGraph
-from repro.influence.bounds import lb_bound, precompute_local
+from repro.influence.bounds import best_upper_bounds, nb_bounds, pb_bounds, precompute_local
 from repro.topics.keywords import Vocabulary
 from tests.conftest import random_local_graph
 
@@ -65,14 +65,16 @@ def test_trees_are_max_probability_paths(g, gamma, drawn, data):
 
 
 @SETTINGS
-@given(g=graphs, gamma=gammas, theta=st.sampled_from([0.0, 0.01, 0.1]),
-       radius=st.integers(0, 3))
-def test_lb_dominates_exact_spread(g, gamma, theta, radius):
+@given(g=graphs, gamma=gammas, drawn=st.floats(1e-3, 1.0))
+def test_bounds_dominate_exact_spread(g, gamma, drawn):
     p = g.effective_probs(gamma)
-    pre = precompute_local(g, theta=theta)
-    for u in range(g.n):
-        exact = mia_sigma_single(g, p, u, theta)
-        assert lb_bound(g, p, pre, u, radius=radius, theta=theta) >= exact - 1e-9
+    for theta in (0.0, drawn, 1.0):
+        pre = precompute_local(g, theta=theta)
+        pb, nb = pb_bounds(pre), nb_bounds(g, p, pre)
+        both = best_upper_bounds(g, p, pre)
+        for u in range(g.n):
+            exact = mia_sigma_single(g, p, u, theta) - 1e-9
+            assert pb[u] >= exact and nb[u] >= exact and both[u] >= exact
 
 
 @SETTINGS

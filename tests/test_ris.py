@@ -1,5 +1,5 @@
 """RIS: reverse-reachable set semantics, estimator agreement with MC,
-greedy max-cover exactness, and local↔Spark equality."""
+and greedy max-cover exactness."""
 import numpy as np
 import pytest
 
@@ -10,7 +10,6 @@ from repro.influence.ris import (
     ris_im,
     rr_set,
     rr_sets_local,
-    rr_sets_spark,
 )
 from repro.influence.spread import mc_spread_local
 from tests.conftest import random_local_graph
@@ -80,16 +79,6 @@ class TestGreedyMaxCover:
     def test_empty_sets(self):
         seeds, est = greedy_max_cover([], 2, n=5)
         assert seeds == [] and est == 0.0
-
-
-class TestSpark:
-    def test_sets_equal_local(self, spark, graph):
-        gm = np.full(graph.Z, 1.0 / graph.Z)
-        p = graph.effective_probs(gm)
-        loc = rr_sets_local(graph, p, R=20, seed=6)
-        pdf = rr_sets_spark(spark, graph, p, R=20, seed=6).toPandas()
-        got = [set(pdf.loc[pdf["set_id"] == i, "node"]) for i in range(20)]
-        assert got == loc
 
 
 class TestRisIm:

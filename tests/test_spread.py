@@ -1,13 +1,10 @@
-"""Monte-Carlo spread: closed forms on trees, coupling, and local↔Spark
-equality of the distributed cascade fan-out."""
+"""Monte-Carlo spread: closed forms on trees and coupling by sample id."""
 import numpy as np
 import pytest
 
 from repro.influence.spread import (
     _sample_rng,
     mc_spread_local,
-    mc_spread_samples_spark,
-    mc_spread_spark,
     simulate_cascade,
 )
 from tests.conftest import random_local_graph
@@ -74,32 +71,3 @@ class TestMcSpreadLocal:
         a = mc_spread_local(graph, p, [0, 1], n_samples=30, seed=3)
         b = mc_spread_local(graph, p, [0, 1], n_samples=30, seed=3)
         assert a == b
-
-
-class TestMcSpreadSpark:
-    def test_equals_local(self, spark, graph):
-        gm = np.full(graph.Z, 1.0 / graph.Z)
-        p = graph.effective_probs(gm)
-        loc = mc_spread_local(graph, p, [0, 5], n_samples=24, seed=7)
-        dist = mc_spread_spark(spark, graph, p, [0, 5], n_samples=24, seed=7)
-        assert abs(loc - dist) < 1e-9
-
-    def test_samples_frame_shape(self, spark, chain_graph):
-        df = mc_spread_samples_spark(
-            spark, chain_graph, chain_graph.probs[:, 0], [0], n_samples=10, seed=0
-        ).toPandas()
-        assert len(df) == 10
-        assert set(df.columns) == {"sample_id", "activated"}
-        assert df["activated"].between(1, 4).all()
-
-    def test_per_sample_coupling(self, spark, chain_graph):
-        """Each Spark sample equals the local cascade with the same id."""
-        p = chain_graph.probs[:, 0]
-        df = (
-            mc_spread_samples_spark(spark, chain_graph, p, [0], n_samples=15, seed=2)
-            .toPandas()
-            .sort_values("sample_id")
-        )
-        for r in df.itertuples():
-            loc = len(simulate_cascade(chain_graph, p, [0], _sample_rng(2, int(r.sample_id))))
-            assert loc == r.activated
