@@ -324,9 +324,12 @@ def suggest_keywords(
     the OCTOPUS engine), ``mc`` (from-scratch Monte-Carlo, the slow
     baseline), ``mia``, or ``freq`` (no spread — frequency baseline).
     ``exhaustive=True`` scores every k-subset (test-scale only);
-    otherwise keywords are added greedily. With no candidates both return
-    ``keywords=[]`` and the spread under the empty keyword set (γ = π).
+    otherwise keywords are added greedily. With k = 0 or no candidates
+    both return ``keywords=[]`` and the spread under the empty keyword set
+    (γ = π). k < 0 raises ``ValueError``.
     """
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
     items = items_pdf if items_pdf is not None else model.items
     if candidates is None:
         if items is None:
@@ -374,7 +377,7 @@ def suggest_keywords(
             break
         W.append(best_w)
         gm, cur = best_gm, best_sp
-    if not candidates:  # score γ = π, as the exhaustive path does
+    if not W:  # k = 0 or no candidates: score γ = π, as the exhaustive path does
         cur = est(gm)
         n_est += 1
     return SuggestResult(user=user, method=f"greedy-{method}", keywords=W, gamma=gm,

@@ -322,7 +322,8 @@ def table5_em(
     Per (log scale, iteration): training log-likelihood; final row also
     records ground-truth recovery (word-distribution cosine after topic
     matching, per-topic edge-prob correlation on well-observed cells) and
-    per-iteration wall clock. Uses the Spark EM when a session is given.
+    the fit's wall clock; every row records its iteration's seconds
+    (``iter_s``, E- and M-step). Uses the Spark EM when a session is given.
     """
     net = sd.social_network(sf=sf, Z=Z, seed=seed)
     rows = []
@@ -346,6 +347,7 @@ def table5_em(
                     "loglik": round(ll, 1),
                     "word_cosine": round(sc["word_cosine"], 3) if it == len(res.loglik) - 1 else float("nan"),
                     "edge_corr": round(sc["edge_corr"], 3) if it == len(res.loglik) - 1 else float("nan"),
+                    "iter_s": round(res.iter_s[it], 3),
                     "total_s": round(dt, 1) if it == len(res.loglik) - 1 else float("nan"),
                 }
             )

@@ -13,18 +13,27 @@ E-step: q_d(z) ∝ π_z · Π_w p(w|z) · Π_trials pp^z (or 1−pp^z on failure
 M-step: closed-form weighted counts, with Beta/Dirichlet smoothing so no
 parameter saturates at 0/1 (which would −∞ the likelihood).
 
-Two implementations with identical math: a vectorized numpy reference
-(:func:`em_fit_local`) and a Spark dataflow (:func:`em_fit_spark`) whose
-E/M steps are joins + groupBys over the trial and keyword evidence — the
-offline model-learning job of the OCTOPUS architecture.
+The math exists once, as a block kernel in the summation form of Chu et
+al., "Map-Reduce for Machine Learning on Multicore" (NIPS 2006): items are
+independent in the E-step, so :func:`_block_stats` runs it on one block of
+items with dense ids and returns the block's partial sufficient statistics
+(loglik, Σq per z, word×z counts, edge×z num/den), which add up across
+blocks; :func:`_m_step` turns their sum into parameters. :func:`em_fit_local`
+runs the kernel on one block holding the whole log. :func:`em_fit_spark`,
+the offline model-learning job of the OCTOPUS architecture, packs one block
+per partition once and then runs one ``mapInPandas`` job per iteration over
+the broadcast parameters; the driver sums the per-partition statistics.
 """
-from dataclasses import dataclass
+import itertools
+import json
+import time
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.window import Window
 
 #: Beta prior for edge probabilities — mean 0.1, matching sparse cascades.
 _BETA_A, _BETA_B = 0.5, 4.5
@@ -43,47 +52,134 @@ class EMResult:
     edge_probs: pd.DataFrame  # (src, dst, z, pp) long form, observed edges only
     loglik: list            # per-iteration training log-likelihood
     q: pd.DataFrame         # (item_id, z, q) final responsibilities
+    iter_s: list            # per-iteration wall-clock seconds (E- and M-step)
 
     def edge_prob_matrix(self, e_src, e_dst, Z: int, default: float = _BETA_A / (_BETA_A + _BETA_B)) -> np.ndarray:
         """(E, Z) matrix aligned to an external edge list; edges never
-        observed in the log get the prior mean."""
-        key = {(s, d): i for i, (s, d) in enumerate(zip(e_src, e_dst))}
-        out = np.full((len(e_src), Z), default)
-        for row in self.edge_probs.itertuples(index=False):
-            i = key.get((row.src, row.dst))
-            if i is not None:
-                out[i, row.z] = row.pp
+        observed in the log get the prior mean. Of repeated edges in the
+        list, the last one receives the learned row."""
+        ext = _edge_keys(e_src, e_dst)
+        out = np.full((len(ext), Z), default)
+        if not len(ext):
+            return out
+        order = np.argsort(ext, kind="stable")
+        ep = self.edge_probs
+        obs = _edge_keys(ep["src"], ep["dst"])
+        at = order[(np.searchsorted(ext[order], obs, side="right") - 1).clip(0)]
+        hit = ext[at] == obs
+        out[at[hit], ep["z"].to_numpy()[hit]] = ep["pp"].to_numpy()[hit]
         return out
 
 
-def _prep(items_pdf: pd.DataFrame, trials_pdf: pd.DataFrame):
-    """Index items/words/edges into dense ids for the numpy path."""
-    item_ids = items_pdf["item_id"].to_numpy()
-    d_of = {it: i for i, it in enumerate(item_ids)}
-    words = sorted({w for kws in items_pdf["keywords"] for w in kws})
-    w_of = {w: i for i, w in enumerate(words)}
-    wd, ww = [], []
-    for it, kws in zip(item_ids, items_pdf["keywords"]):
-        for kw in kws:
-            wd.append(d_of[it])
-            ww.append(w_of[kw])
-    wd = np.asarray(wd, np.int64)
-    ww = np.asarray(ww, np.int64)
-    t_item = trials_pdf["item_id"].map(d_of).to_numpy(np.int64)
-    # Sorted so the (Eo, Z) random init maps to the same edges as the
-    # Spark path, which enumerates distinct pairs ordered by (src, dst).
-    pairs = (
-        trials_pdf[["src", "dst"]]
-        .drop_duplicates()
-        .sort_values(["src", "dst"])
-        .reset_index(drop=True)
-    )
-    e_of = {(s, d): i for i, (s, d) in enumerate(zip(pairs["src"], pairs["dst"]))}
-    t_edge = np.asarray(
-        [e_of[(s, d)] for s, d in zip(trials_pdf["src"], trials_pdf["dst"])], np.int64
-    )
-    t_succ = trials_pdf["success"].to_numpy(bool)
-    return item_ids, words, wd, ww, t_item, pairs, t_edge, t_succ
+def _edge_keys(src, dst) -> np.ndarray:
+    """One sortable int64 per edge, ``src << 32 | dst``: key order is
+    (src, dst) order for user ids in [0, 2³¹)."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= 1 << 31):
+        raise ValueError("user ids must lie in [0, 2**31)")
+    return (src << 32) | dst
+
+
+@dataclass
+class _Block:
+    """Items, their keywords and their trials with dense ids: words and
+    edges are numbered in sorted order (edges by their key). The field
+    names are the columns of the packed Spark rows."""
+
+    items: np.ndarray   # (D,) item ids
+    words: np.ndarray   # (Vb,) sorted distinct keywords
+    wd: np.ndarray      # keyword occurrence → item
+    ww: np.ndarray      # keyword occurrence → word
+    keys: np.ndarray    # (Eb,) sorted distinct edge keys
+    t_item: np.ndarray  # trial → item
+    t_edge: np.ndarray  # trial → edge
+    t_succ: np.ndarray  # trial → success
+
+
+_PACKED = ("items array<bigint>, words array<string>, wd array<bigint>, ww array<bigint>, "
+           "keys array<bigint>, t_item array<bigint>, t_edge array<bigint>, t_succ array<boolean>")
+_STATS = ("loglik double, qsum array<double>, w_idx array<bigint>, wc array<double>, "
+          "e_idx array<bigint>, num array<double>, den array<double>, items array<bigint>, "
+          "q array<double>")
+
+
+def _pack(items_pdf: pd.DataFrame, trials_pdf: pd.DataFrame) -> _Block:
+    """Dense ids for one block, vectorised: item ids by position, words by
+    ``pd.factorize``, trials' items by ``get_indexer``, edges by factorizing
+    their keys."""
+    items = items_pdf["item_id"].to_numpy(np.int64)
+    kws = items_pdf["keywords"]
+    flat = np.fromiter(itertools.chain.from_iterable(kws), dtype=object)
+    ww, words = pd.factorize(flat, sort=True)
+    wd = np.repeat(np.arange(len(items)), np.fromiter(map(len, kws), np.int64, len(kws)))
+    t_item = pd.Index(items).get_indexer(trials_pdf["item_id"].to_numpy(np.int64))
+    if (t_item < 0).any():
+        raise ValueError("trials refer to items that are not in the item table")
+    t_edge, keys = pd.factorize(_edge_keys(trials_pdf["src"], trials_pdf["dst"]), sort=True)
+    return _Block(items, words, wd, ww, keys, t_item, t_edge, trials_pdf["success"].to_numpy(bool))
+
+
+def _block_stats(b: _Block, pi: np.ndarray, pwz: np.ndarray, pp: np.ndarray):
+    """E-step on one block, given the block's columns of p(w|z) (Z, Vb) and
+    rows of pp (Eb, Z). Returns (loglik, Σq per z, word×z counts (Z, Vb),
+    edge×z num and den (Eb, Z), q (D, Z))."""
+    D, Z = len(b.items), len(pi)
+    log_pp, log_1mpp = np.log(pp + _EPS), np.log1p(-pp)
+    logq = np.tile(np.log(pi + _EPS), (D, 1))
+    for z in range(Z):
+        logq[:, z] += np.bincount(b.wd, weights=np.log(pwz[z, b.ww] + _EPS), minlength=D)
+        lt = np.where(b.t_succ, log_pp[b.t_edge, z], log_1mpp[b.t_edge, z])
+        logq[:, z] += np.bincount(b.t_item, weights=lt, minlength=D)
+    m = logq.max(axis=1, keepdims=True)
+    q = np.exp(logq - m)
+    s = q.sum(axis=1, keepdims=True)
+    loglik = float((np.log(s).ravel() + m.ravel()).sum())
+    q /= s
+    wc = np.empty((Z, len(b.words)))
+    num, den = np.empty((len(b.keys), Z)), np.empty((len(b.keys), Z))
+    for z in range(Z):
+        wc[z] = np.bincount(b.ww, weights=q[b.wd, z], minlength=len(b.words))
+        qt = q[b.t_item, z]
+        num[:, z] = np.bincount(b.t_edge, weights=qt * b.t_succ, minlength=len(b.keys))
+        den[:, z] = np.bincount(b.t_edge, weights=qt, minlength=len(b.keys))
+    return loglik, q.sum(axis=0), wc, num, den, q
+
+
+def _m_step(D: int, qsum, wc, num, den):
+    """Closed-form M-step on the summed statistics, with Beta/Dirichlet
+    smoothing. Returns (π, p(w|z), pp)."""
+    pwz = wc + _WORD_ALPHA
+    pwz /= pwz.sum(axis=1, keepdims=True)
+    return qsum / D, pwz, (num + _BETA_A) / (den + (_BETA_A + _BETA_B))
+
+
+def _fit(D: int, words, keys, Z: int, n_iter: int, seed: int, e_step) -> EMResult:
+    """The EM loop of both fits. ``e_step(π, p(w|z), pp, last)`` returns the
+    summed statistics (loglik, Σq, word×z, num, den) and, when ``last``,
+    the final (item ids, q)."""
+    if n_iter < 1:
+        raise ValueError("n_iter must be at least 1")
+    V, Eo = len(words), len(keys)
+    g = np.random.default_rng(seed)
+    pi = np.full(Z, 1.0 / Z)
+    pwz = g.dirichlet(np.full(V, 1.0), size=Z)
+    pp = np.clip(g.random((Eo, Z)) * 0.2 + 0.02, 1e-3, 0.5)
+    loglik, iter_s = [], []
+    for it in range(n_iter):
+        t0 = time.perf_counter()
+        ll, qsum, wc, num, den, final_q = e_step(pi, pwz, pp, it == n_iter - 1)
+        pi, pwz, pp = _m_step(D, qsum, wc, num, den)
+        loglik.append(ll)
+        iter_s.append(time.perf_counter() - t0)
+    item_ids, q = final_q
+    edge_long = pd.DataFrame({"src": np.repeat(keys >> 32, Z),
+                              "dst": np.repeat(keys & 0xFFFFFFFF, Z), "z": np.tile(np.arange(Z), Eo),
+                              "pp": pp.ravel(), "weight": den.ravel()})
+    q_pdf = pd.DataFrame({"item_id": np.repeat(item_ids, Z),
+                          "z": np.tile(np.arange(Z), len(item_ids)), "q": q.ravel()})
+    return EMResult(pi=pi, pwz=pwz, words=list(words), edge_probs=edge_long,
+                    loglik=loglik, q=q_pdf, iter_s=iter_s)
 
 
 def em_fit_local(
@@ -94,60 +190,47 @@ def em_fit_local(
     n_iter: int = 10,
     seed: int = 0,
 ) -> EMResult:
-    """Numpy reference EM. Deterministic in ``seed`` (initialization)."""
-    item_ids, words, wd, ww, t_item, pairs, t_edge, t_succ = _prep(
-        items_pdf, trials_pdf
-    )
-    D, V, Eo = len(item_ids), len(words), len(pairs)
-    g = np.random.default_rng(seed)
-    pi = np.full(Z, 1.0 / Z)
-    pwz = g.dirichlet(np.full(V, 1.0), size=Z)
-    pp = np.clip(g.random((Eo, Z)) * 0.2 + 0.02, 1e-3, 0.5)
-    loglik = []
-    for _ in range(n_iter):
-        # E-step: per-item log evidence for each topic.
-        logq = np.tile(np.log(pi + _EPS), (D, 1))
-        for z in range(Z):
-            logq[:, z] += np.bincount(
-                wd, weights=np.log(pwz[z, ww] + _EPS), minlength=D
-            )
-            lt = np.where(t_succ, np.log(pp[t_edge, z] + _EPS), np.log1p(-pp[t_edge, z]))
-            logq[:, z] += np.bincount(t_item, weights=lt, minlength=D)
-        m = logq.max(axis=1, keepdims=True)
-        q = np.exp(logq - m)
-        s = q.sum(axis=1, keepdims=True)
-        loglik.append(float((np.log(s).ravel() + m.ravel()).sum()))
-        q /= s
-        # M-step.
-        pi = q.mean(axis=0)
-        pwz = np.full((Z, V), _WORD_ALPHA)
-        for z in range(Z):
-            pwz[z] += np.bincount(ww, weights=q[wd, z], minlength=V)
-        pwz /= pwz.sum(axis=1, keepdims=True)
-        num = np.full((Eo, Z), _BETA_A)
-        den = np.full((Eo, Z), _BETA_A + _BETA_B)
-        for z in range(Z):
-            num[:, z] += np.bincount(t_edge, weights=q[t_item, z] * t_succ, minlength=Eo)
-            den[:, z] += np.bincount(t_edge, weights=q[t_item, z], minlength=Eo)
-        pp = num / den
-    edge_long = pd.DataFrame(
-        {
-            "src": np.repeat(pairs["src"].to_numpy(), Z),
-            "dst": np.repeat(pairs["dst"].to_numpy(), Z),
-            "z": np.tile(np.arange(Z), Eo),
-            "pp": pp.reshape(-1),
-            "weight": (den - (_BETA_A + _BETA_B)).reshape(-1),
-        }
-    )
-    q_pdf = pd.DataFrame(
-        {
-            "item_id": np.repeat(item_ids, Z),
-            "z": np.tile(np.arange(Z), D),
-            "q": q.reshape(-1),
-        }
-    )
-    return EMResult(pi=pi, pwz=pwz, words=words, edge_probs=edge_long,
-                    loglik=loglik, q=q_pdf)
+    """Numpy reference EM: the kernel on one block holding the whole log.
+    Deterministic in ``seed`` (initialization)."""
+    b = _pack(items_pdf, trials_pdf)
+
+    def e_step(pi, pwz, pp, last):
+        ll, qsum, wc, num, den, q = _block_stats(b, pi, pwz, pp)
+        return ll, qsum, wc, num, den, (b.items, q)
+
+    return _fit(len(b.items), b.words, b.keys, Z, n_iter, seed, e_step)
+
+
+def _pack_partition(batches):
+    """One packed row per partition of the item ⊎ trial rows (a trial row
+    has a ``src``); empty partitions emit nothing."""
+    pdfs = [pdf for pdf in batches if len(pdf)]
+    if not pdfs:
+        return
+    pdf = pd.concat(pdfs, ignore_index=True)
+    trial = pdf["src"].notna()
+    items = pdf[~trial].assign(keywords=lambda d: d["keywords"].map(json.loads))
+    b = _pack(items, pdf[trial])
+    yield pd.DataFrame({f.name: [getattr(b, f.name)] for f in fields(_Block)})
+
+
+def _partition_stats(params, last, batches):
+    """The E-step kernel on each packed block, with the block's slice of the
+    broadcast parameters; emits the statistics with their global word and
+    edge ids."""
+    words, keys, pi, pwz, pp = params.value
+    none = np.empty(0)
+    for pdf in batches:
+        for row in pdf.itertuples(index=False):
+            b = _Block(*(np.asarray(getattr(row, f.name)) for f in fields(_Block)))
+            w_idx = np.searchsorted(words, b.words)
+            e_idx = np.searchsorted(keys, b.keys)
+            ll, qsum, wc, num, den, q = _block_stats(b, pi, pwz[:, w_idx], pp[e_idx])
+            yield pd.DataFrame({
+                "loglik": [ll], "qsum": [qsum], "w_idx": [w_idx], "wc": [wc.ravel()],
+                "e_idx": [e_idx], "num": [num.ravel()], "den": [den.ravel()],
+                "items": [b.items if last else none], "q": [q.ravel() if last else none],
+            })
 
 
 def em_fit_spark(
@@ -156,144 +239,56 @@ def em_fit_spark(
     trials_df: DataFrame,
     *,
     Z: int,
-    n_iter: int = 5,
+    n_iter: int = 10,
     seed: int = 0,
 ) -> EMResult:
-    """Spark dataflow EM — E and M steps as joins/aggregations.
+    """Spark EM in summation form: one ``mapInPandas`` job per iteration.
 
-    Initialization is shared with :func:`em_fit_local` (same RNG stream),
-    so on identical inputs the two paths produce identical parameter
-    trajectories up to float reduction order — tested in
-    ``tests/test_em.py``.
+    Trials and keywords are co-partitioned by ``item_id`` (one partition
+    per default-parallelism slot) and packed into one row of arrays per
+    partition, once. The driver numbers words and edges in sorted order,
+    as :func:`em_fit_local` does, so the shared RNG stream initializes the
+    same parameters and the two fits agree up to float summation order —
+    tested in ``tests/test_em.py``.
     """
-    word_pairs = (
-        items_df.select("item_id", F.explode("keywords").alias("word"))
+    sc = spark.sparkContext
+    # Keywords travel as JSON text: in the union every trial row carries a
+    # null keywords cell, and null array cells cost seconds in the Arrow
+    # conversion where null strings cost little.
+    kws = F.to_json("keywords").alias("keywords")
+    both = items_df.select(F.col("item_id").cast("long"), kws).unionByName(
+        trials_df.select(
+            F.col("item_id").cast("long"), F.col("src").cast("long"),
+            F.col("dst").cast("long"), F.col("success").cast("boolean"),
+        ),
+        allowMissingColumns=True,
+    )
+    packed = (
+        both.repartition(sc.defaultParallelism, "item_id")
+        .mapInPandas(_pack_partition, _PACKED)
         .localCheckpoint()
     )
-    trials = trials_df.select(
-        "item_id", "src", "dst", F.col("success").cast("boolean").alias("success")
-    ).localCheckpoint()
+    meta = packed.select(F.size("items").alias("D"), "words", "keys").toPandas()
+    words = np.unique(np.concatenate([np.asarray(w, dtype=object) for w in meta["words"]]))
+    keys = np.unique(np.concatenate([np.asarray(k, dtype=np.int64) for k in meta["keys"]]))
+    V, Eo = len(words), len(keys)
 
-    words = [r.word for r in word_pairs.select("word").distinct().orderBy("word").collect()]
-    w_of = {w: i for i, w in enumerate(words)}
-    V = len(words)
-    pairs = trials.select("src", "dst").distinct().orderBy("src", "dst").toPandas()
-    Eo = len(pairs)
-    D = items_df.count()
+    def e_step(pi, pwz, pp, last):
+        params = sc.broadcast((words, keys, pi, pwz, pp))
+        rows = packed.mapInPandas(partial(_partition_stats, params, last), _STATS).toPandas()
+        params.destroy()
+        wc, num, den = np.zeros((Z, V)), np.zeros((Eo, Z)), np.zeros((Eo, Z))
+        for r in rows.itertuples(index=False):
+            wc[:, r.w_idx] += np.reshape(r.wc, (Z, -1))
+            num[r.e_idx] += np.reshape(r.num, (-1, Z))
+            den[r.e_idx] += np.reshape(r.den, (-1, Z))
+        items = np.concatenate([np.asarray(i, dtype=np.int64) for i in rows["items"]])
+        q = np.concatenate([np.reshape(x, (-1, Z)) for x in rows["q"]])
+        order = np.argsort(items)
+        return (float(rows["loglik"].sum()), np.sum(np.stack(rows["qsum"]), axis=0),
+                wc, num, den, (items[order], q[order]))
 
-    # Same initialization stream as the local path (q order differs but the
-    # draws are identical because shapes are identical).
-    g = np.random.default_rng(seed)
-    pi = np.full(Z, 1.0 / Z)
-    pwz = g.dirichlet(np.full(V, 1.0), size=Z)
-    pp = np.clip(g.random((Eo, Z)) * 0.2 + 0.02, 1e-3, 0.5)
-
-    zs = np.arange(Z)
-    loglik: list = []
-    q_df = None
-    for _ in range(n_iter):
-        vocab_long = spark.createDataFrame(
-            pd.DataFrame(
-                {
-                    "word": np.repeat(words, Z),
-                    "z": np.tile(zs, V),
-                    "log_pw": np.log(pwz.T.reshape(-1) + _EPS),
-                }
-            )
-        )
-        edge_long = spark.createDataFrame(
-            pd.DataFrame(
-                {
-                    "src": np.repeat(pairs["src"].to_numpy(), Z),
-                    "dst": np.repeat(pairs["dst"].to_numpy(), Z),
-                    "z": np.tile(zs, Eo),
-                    "log_pp": np.log(pp.reshape(-1) + _EPS),
-                    "log_1mpp": np.log1p(-pp.reshape(-1)),
-                }
-            )
-        )
-        pi_df = spark.createDataFrame(
-            pd.DataFrame({"z": zs, "log_pi": np.log(pi + _EPS)})
-        )
-        # E-step: word evidence ⋈ trial evidence, per (item, z).
-        wev = (
-            word_pairs.join(vocab_long, "word")
-            .groupBy("item_id", "z")
-            .agg(F.sum("log_pw").alias("ev_w"))
-        )
-        tev = (
-            trials.join(edge_long, ["src", "dst"])
-            .withColumn(
-                "lt", F.when(F.col("success"), F.col("log_pp")).otherwise(F.col("log_1mpp"))
-            )
-            .groupBy("item_id", "z")
-            .agg(F.sum("lt").alias("ev_t"))
-        )
-        items_z = items_df.select("item_id").crossJoin(pi_df)
-        logq = (
-            items_z.join(wev, ["item_id", "z"], "left")
-            .join(tev, ["item_id", "z"], "left")
-            .fillna(0.0, subset=["ev_w", "ev_t"])
-            .withColumn("logq", F.col("log_pi") + F.col("ev_w") + F.col("ev_t"))
-        )
-        w = Window.partitionBy("item_id")
-        q_df = (
-            logq.withColumn("m", F.max("logq").over(w))
-            .withColumn("u", F.exp(F.col("logq") - F.col("m")))
-            .withColumn("s", F.sum("u").over(w))
-            .withColumn("q", F.col("u") / F.col("s"))
-            .select("item_id", "z", "q", "m", "s")
-            .localCheckpoint()
-        )
-        ll = (
-            q_df.where(F.col("z") == 0)
-            .agg(F.sum(F.log(F.col("s")) + F.col("m")).alias("ll"))
-            .collect()[0]["ll"]
-        )
-        loglik.append(float(ll))
-        # M-step: weighted counts back to the driver (params are small).
-        pi_rows = q_df.groupBy("z").agg(F.sum("q").alias("s")).orderBy("z").collect()
-        pi = np.array([r.s for r in pi_rows]) / D
-        wcounts = (
-            word_pairs.join(q_df.select("item_id", "z", "q"), "item_id")
-            .groupBy("word", "z")
-            .agg(F.sum("q").alias("c"))
-            .toPandas()
-        )
-        pwz = np.full((Z, V), _WORD_ALPHA)
-        pwz[wcounts["z"].to_numpy(), wcounts["word"].map(w_of).to_numpy()] += (
-            wcounts["c"].to_numpy()
-        )
-        pwz /= pwz.sum(axis=1, keepdims=True)
-        ecounts = (
-            trials.join(q_df.select("item_id", "z", "q"), "item_id")
-            .groupBy("src", "dst", "z")
-            .agg(
-                F.sum(F.when(F.col("success"), F.col("q")).otherwise(0.0)).alias("num"),
-                F.sum("q").alias("den"),
-            )
-            .toPandas()
-        )
-        e_of = {(s, d): i for i, (s, d) in enumerate(zip(pairs["src"], pairs["dst"]))}
-        num = np.full((Eo, Z), _BETA_A)
-        den = np.full((Eo, Z), _BETA_A + _BETA_B)
-        idx = np.asarray([e_of[(s, d)] for s, d in zip(ecounts["src"], ecounts["dst"])])
-        num[idx, ecounts["z"].to_numpy()] += ecounts["num"].to_numpy()
-        den[idx, ecounts["z"].to_numpy()] += ecounts["den"].to_numpy()
-        pp = num / den
-
-    edge_long_pdf = pd.DataFrame(
-        {
-            "src": np.repeat(pairs["src"].to_numpy(), Z),
-            "dst": np.repeat(pairs["dst"].to_numpy(), Z),
-            "z": np.tile(zs, Eo),
-            "pp": pp.reshape(-1),
-            "weight": (den - (_BETA_A + _BETA_B)).reshape(-1),
-        }
-    )
-    q_pdf = q_df.select("item_id", "z", "q").orderBy("item_id", "z").toPandas()
-    return EMResult(pi=pi, pwz=pwz, words=words, edge_probs=edge_long_pdf,
-                    loglik=loglik, q=q_pdf)
+    return _fit(int(meta["D"].sum()), words, keys, Z, n_iter, seed, e_step)
 
 
 def match_topics(est_pwz: np.ndarray, true_pwz: np.ndarray) -> np.ndarray:

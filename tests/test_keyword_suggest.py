@@ -216,12 +216,12 @@ class TestSuggest:
             suggest_keywords(model, u, 2, method="index", index=index, candidates=cands,
                              exhaustive=True),
             suggest_keywords(model, u, 2, method="freq", index=index, candidates=cands),
+            suggest_keywords(model, u, 0, method="index", index=index, candidates=cands),
         ):
             assert r.est_stderr == index.stderr(r.est_spread)
         for r in (
             suggest_keywords(model, u, 1, method="mia", candidates=cands),
             suggest_keywords(model, u, 2, method="freq", candidates=cands),
-            suggest_keywords(model, u, 0, method="index", index=index, candidates=cands),
         ):
             assert r.est_stderr is None
 
@@ -237,6 +237,27 @@ class TestSuggest:
         assert g.est_spread == e.est_spread >= 0.0
         assert g.n_estimates == e.n_estimates == 1
         assert np.allclose(g.gamma, model.gamma([]))
+
+    @pytest.mark.parametrize("method", ["index", "mia"])
+    def test_k_zero_scores_the_prior(self, model, log, index, method):
+        """k = 0 is an empty answer scored under γ = π, greedy and
+        exhaustive alike, not a sentinel spread."""
+        u = int(log.items["author"].value_counts().index[0])
+        cands = user_keywords(log.items, u, max_candidates=5)
+        g = suggest_keywords(model, u, 0, method=method, index=index, candidates=cands)
+        e = suggest_keywords(model, u, 0, method=method, index=index, candidates=cands,
+                             exhaustive=True)
+        prior = suggest_keywords(model, u, 2, method=method, index=index, candidates=[])
+        assert g.keywords == e.keywords == []
+        assert g.est_spread == e.est_spread == prior.est_spread >= 0.0
+        assert g.n_estimates == e.n_estimates == 1
+
+    def test_negative_k_raises(self, model, log, index):
+        u = int(log.items["author"].iloc[0])
+        for exhaustive in (False, True):
+            with pytest.raises(ValueError):
+                suggest_keywords(model, u, -1, method="index", index=index,
+                                 items_pdf=log.items, exhaustive=exhaustive)
 
     def test_unknown_estimator_raises(self, model, log, index):
         u = int(log.items["author"].iloc[0])
