@@ -12,7 +12,8 @@ with three efficiency devices, all reproduced here:
   (low variance) and nothing is resampled per query.
 * **influencer index** — for R uniformly sampled "monitor" users, the
   reverse-reachable subgraph under the permissive envelope
-  ``r_e ≤ pp_max(e)`` is precomputed (a Spark fan-out job). Because
+  ``r_e ≤ pp_max(e)`` is precomputed by one per-sample kernel, on the
+  driver or fanned out on Spark (``graphlib.builder.fan_out``). Because
   ``pp_γ(e) ≤ pp_max(e)`` for every γ, any edge live under any query is
   in the stored subgraph; online evaluation never touches the full graph.
   Each sample keeps its edges as a Python in-adjacency
@@ -33,6 +34,7 @@ import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -40,7 +42,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.mia import mia_sigma_single
 from repro.core.model import TopicAwareInfluenceModel
-from repro.graphlib.builder import LocalGraph
+from repro.graphlib.builder import LocalGraph, fan_out
 from repro.influence.spread import mc_spread_local
 from repro.topics.keywords import user_keywords
 
@@ -81,9 +83,9 @@ def _reverse_envelope(graph: LocalGraph, root: int, seed: int, sample_id: int,
     level at a time: the frontier's in-edges (each node's together, in CSR
     order) get their r_e in one :func:`edge_uniform` call, and the live
     edges' unseen sources, in first-seen order, form the next frontier.
-    ``p_max`` is ``graph.max_probs()``, computed once per build.
+    ``p_max`` is ``graph.max_probs()``, computed once per batch.
 
-    Returns the kept ``(eids, r, nodes)``, as :func:`_assemble_sample` takes them."""
+    Returns the kept ``(eids, r)``, as :func:`_assemble_sample` takes them."""
     found = np.zeros(graph.n, dtype=bool)
     found[root] = True
     frontier = np.array([root], dtype=np.int64)
@@ -103,19 +105,27 @@ def _reverse_envelope(graph: LocalGraph, root: int, seed: int, sample_id: int,
         _, first = np.unique(srcs, return_index=True)
         frontier = srcs[np.sort(first)]
         found[frontier] = True
-    return (np.concatenate(kept_e), np.concatenate(kept_r),
-            frozenset(np.flatnonzero(found).tolist()))
+    return np.concatenate(kept_e), np.concatenate(kept_r)
 
 
-def _assemble_sample(graph: LocalGraph, root: int, eids: np.ndarray, r: np.ndarray,
-                     nodes: frozenset) -> _Sample:
-    """Assemble one stored sample from its kept edges and their r_e. The
+def _envelopes(graph: LocalGraph, ids: np.ndarray, roots: np.ndarray, seed: int) -> pd.DataFrame:
+    """The per-sample kernel of both builds: ``(id, eids, r)`` rows, the
+    reverse envelope of sample ``id`` from monitor ``roots[id]``."""
+    p_max = graph.max_probs()
+    kept = [_reverse_envelope(graph, int(roots[i]), seed, i, p_max) for i in ids.tolist()]
+    return pd.DataFrame({"id": ids, "eids": [e for e, _ in kept], "r": [r for _, r in kept]})
+
+
+def _assemble_sample(graph: LocalGraph, root: int, eids: np.ndarray, r: np.ndarray) -> _Sample:
+    """Assemble one stored sample from its kept edges and their r_e: the
+    envelope's nodes are the root and the sources of the kept edges. The
     in-adjacency holds plain Python objects, which the estimate's BFS reads
     fastest."""
+    srcs = graph.e_src[eids]
     in_adj: dict = {}
-    for d, edge in zip(graph.e_dst[eids].tolist(),
-                       zip(graph.e_src[eids].tolist(), eids.tolist(), r.tolist())):
+    for d, edge in zip(graph.e_dst[eids].tolist(), zip(srcs.tolist(), eids.tolist(), r.tolist())):
         in_adj.setdefault(d, []).append(edge)
+    nodes = frozenset([root, *np.unique(srcs).tolist()])
     return _Sample(root=root, eids=eids, r=r, nodes=nodes, in_adj=in_adj)
 
 
@@ -197,73 +207,43 @@ def _collector_paused():
 
 
 def _monitor_roots(n: int, R: int, seed: int) -> np.ndarray:
+    """The R monitor users of an index; R < 1 raises ``ValueError``."""
+    if R < 1:
+        raise ValueError(f"R = {R}: an index needs at least one sample")
     return np.random.default_rng(seed).integers(0, n, size=R)
+
+
+def _index(graph: LocalGraph, roots: np.ndarray, seed: int, rows: pd.DataFrame) -> InfluencerIndex:
+    """The index from the kernel's rows, in sample-id order."""
+    rows = rows.sort_values("id")
+    with _collector_paused():
+        samples = [
+            _assemble_sample(graph, int(roots[i]), np.asarray(e, dtype=np.int64),
+                             np.asarray(r, dtype=np.float64))
+            for i, e, r in zip(rows["id"].tolist(), rows["eids"], rows["r"])
+        ]
+        return InfluencerIndex(n=graph.n, R=len(roots), seed=seed, samples=samples,
+                               probs=graph.probs)
 
 
 def build_influencer_index_local(
     graph: LocalGraph, *, R: int = 200, seed: int = 0
 ) -> InfluencerIndex:
-    """Driver-side index build (tests / tiny graphs)."""
+    """Driver-side index build: the per-sample kernel over every sample id."""
     roots = _monitor_roots(graph.n, R, seed)
-    p_max = graph.max_probs()
-    with _collector_paused():
-        samples = [
-            _assemble_sample(graph, int(root), *_reverse_envelope(graph, int(root), seed, i, p_max))
-            for i, root in enumerate(roots)
-        ]
-        return InfluencerIndex(n=graph.n, R=R, seed=seed, samples=samples, probs=graph.probs)
+    return _index(graph, roots, seed, _envelopes(graph, np.arange(R), roots, seed))
 
 
 def build_influencer_index_spark(
     spark: SparkSession, graph: LocalGraph, *, R: int = 200, seed: int = 0
 ) -> InfluencerIndex:
-    """The offline Spark job: envelope subgraphs fanned out over sample
-    ids with ``mapInPandas``; workers emit (sample_id, root, eid) rows and
-    the driver reassembles — ``r_e`` is stateless, so nothing else needs
-    to be shipped. Identical index to the local build."""
+    """The offline Spark job: the per-sample kernel fanned out over sample
+    ids, one ``(id, eids, r)`` row per sample. Identical index to the local
+    build, sample by sample."""
     roots = _monitor_roots(graph.n, R, seed)
-    g_args = (
-        graph.n, graph.Z, graph.e_src, graph.e_dst, graph.probs,
-        graph.out_ptr, graph.out_eid, graph.in_ptr, graph.in_eid,
-    )
-
-    def run(batches):
-        g = LocalGraph(*g_args)
-        p_max = g.max_probs()
-        for pdf in batches:
-            out_sid, out_root, out_eid = [], [], []
-            for i in pdf["id"].to_numpy():
-                i = int(i)
-                eids = _reverse_envelope(g, int(roots[i]), seed, i, p_max)[0]
-                out_sid.extend([i] * max(len(eids), 1))
-                out_root.extend([int(roots[i])] * max(len(eids), 1))
-                out_eid.extend(eids.tolist() or [-1])
-            yield pd.DataFrame(
-                {"sample_id": out_sid, "root": out_root, "eid": out_eid}
-            )
-
-    rows = (
-        spark.range(R)
-        .repartition(min(R, 64))
-        .mapInPandas(run, schema="sample_id long, root long, eid long")
-        .toPandas()
-        .sort_values(["sample_id", "eid"])
-    )
-    sid = rows["sample_id"].to_numpy(dtype=np.int64)
-    all_eids = rows["eid"].to_numpy(dtype=np.int64)
-    cuts = np.searchsorted(sid, np.arange(R + 1))
-    samples = []
-    with _collector_paused():
-        for i in range(R):
-            root = int(roots[i])
-            eids = all_eids[cuts[i] : cuts[i + 1]]
-            eids = eids[eids >= 0]
-            nodes = frozenset(
-                {root} | set(graph.e_src[eids].tolist()) | set(graph.e_dst[eids].tolist())
-            )
-            r = edge_uniform(seed, i, eids)
-            samples.append(_assemble_sample(graph, root, eids, r, nodes))
-        return InfluencerIndex(n=graph.n, R=R, seed=seed, samples=samples, probs=graph.probs)
+    rows = fan_out(spark, graph, np.arange(R), partial(_envelopes, roots=roots, seed=seed),
+                   "id long, eids array<long>, r array<double>")
+    return _index(graph, roots, seed, rows)
 
 
 @dataclass

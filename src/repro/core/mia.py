@@ -50,6 +50,12 @@ def edge_weights(graph: LocalGraph, p_eff: np.ndarray, *, forward: bool = True) 
     return w
 
 
+def check_theta(theta: float) -> None:
+    """Raise ``ValueError`` unless the path threshold θ is in [0, 1]."""
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError(f"theta {theta} is outside [0, 1]")
+
+
 def mia_search(graph: LocalGraph, weights, root: int, theta: float = 0.01,
                *, forward: bool = True) -> tuple:
     """Max-probability paths from ``root`` (into ``root`` when
@@ -62,8 +68,7 @@ def mia_search(graph: LocalGraph, weights, root: int, theta: float = 0.01,
     """
     if not 0 <= root < graph.n:
         raise ValueError(f"root {root} is not a user of a {graph.n}-user graph")
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta {theta} is outside [0, 1]")
+    check_theta(theta)
     ptr, nbr = graph.adjacency_lists(forward)
     lim = -log(theta) + 1e-12 if theta > 0 else sys.float_info.max
     dist = {root: 0.0}

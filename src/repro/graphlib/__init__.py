@@ -1,15 +1,12 @@
 """Graph substrate: construction of social-graph DataFrames from action
-logs, a collected CSR ``LocalGraph`` for the online engine, and distributed
-traversal primitives (BFS, max-probability path relaxation)."""
+logs, a collected CSR ``LocalGraph`` for the online engine, and
+``fan_out``, which runs a driver kernel over that graph on Spark."""
 
 from repro.graphlib.builder import (  # noqa: F401
     LocalGraph,
     degree_stats,
     edges_with_array_probs,
+    fan_out,
     graph_from_trials,
     local_graph_from_network,
-)
-from repro.graphlib.traversal import (  # noqa: F401
-    bfs_reachable,
-    max_prob_reach,
 )

@@ -1,17 +1,17 @@
 """Social-graph construction and the collected ``LocalGraph``.
 
 OCTOPUS's architecture splits into an offline Spark layer (index and model
-precomputation over edge DataFrames) and a real-time engine; ``LocalGraph``
-is the collected CSR representation the online engine runs on. Builders
-here also derive the social graph *from action logs* (the paper constructs
-the ACMCite graph from citation actions).
+precomputation) and a real-time engine; ``LocalGraph`` is the collected CSR
+representation the online engine runs on, and :func:`fan_out` runs a driver
+kernel over it on Spark. Builders here also derive the social graph *from
+action logs* (the paper constructs the ACMCite graph from citation actions).
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 
@@ -133,6 +133,31 @@ class LocalGraph:
     def reversed(self) -> "LocalGraph":
         """Graph with every edge flipped (for MIIA / reverse reachability)."""
         return LocalGraph.from_edges(self.e_dst, self.e_src, self.probs, n=self.n)
+
+
+def fan_out(spark: SparkSession, graph: LocalGraph, ids, fn, schema: str) -> pd.DataFrame:
+    """Run the driver kernel ``fn(graph, id_batch) -> rows`` (a pandas
+    frame matching ``schema``) over ``ids`` on Spark, and collect the rows.
+
+    The nine ``LocalGraph`` fields are broadcast once (not the object,
+    whose cached adjacency lists would ride along), and each task rebuilds
+    the graph from them; the ids are split into ``defaultParallelism``
+    contiguous batches by ``mapInPandas``. The driver twin of a fan-out is
+    ``fn(graph, ids)``, so both run the same code on the same ids."""
+    ids = np.asarray(ids, dtype=np.int64)
+    sc = spark.sparkContext
+    csr = sc.broadcast(tuple(getattr(graph, f.name) for f in fields(LocalGraph)))
+
+    def run(batches):
+        g = LocalGraph(*csr.value)
+        for pdf in batches:
+            yield fn(g, ids[pdf["id"].to_numpy()])
+
+    parts = max(1, min(len(ids), sc.defaultParallelism))
+    try:
+        return spark.range(len(ids), numPartitions=parts).mapInPandas(run, schema).toPandas()
+    finally:
+        csr.destroy()
 
 
 def local_graph_from_network(net) -> LocalGraph:

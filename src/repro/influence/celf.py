@@ -7,9 +7,7 @@ re-evaluation. OCTOPUS's best-effort framework plugs in *precomputed*
 upper bounds as the initial keys ("preferentially computes the exact
 influence spread for the users with larger upper bounds"). The output is
 identical to plain greedy whenever every initial key dominates the true
-first-round gain. The loop also takes warm-start candidates (evaluated
-exactly up front) and an ``epsilon`` tolerance, the (1 − 1/e − kε)-style
-relaxation of [3]; no IM variant in this repo sets them.
+first-round gain.
 """
 import heapq
 
@@ -21,8 +19,6 @@ def celf(
     *,
     upper_bounds=None,
     state_update=None,
-    epsilon: float = 0.0,
-    warm_start=None,
 ):
     """Select ``k`` seeds maximizing a submodular objective.
 
@@ -40,12 +36,9 @@ def celf(
         the output to equal plain greedy.
     state_update : optional ``f(seeds) -> state`` called once up front and
         after each selection.
-    epsilon : accept a freshly evaluated gain ``g`` as soon as
-        ``g ≥ (1 − ε)·(best remaining key)`` — 0 means exact greedy. An
-        exact tie goes to the smaller id (heap order), as in plain greedy.
-    warm_start : optional candidate list evaluated exactly before the lazy
-        loop, so strong fresh entries are in the queue from the start and
-        prune bound-keyed entries.
+
+    An exact tie between gains goes to the smaller id (heap order), as in
+    plain greedy.
 
     Returns ``(seeds, total_spread_gain, n_exact_evaluations)``.
     """
@@ -68,10 +61,6 @@ def celf(
         )
         heap = [(-float(get(u)), u, -1) for u in candidates]
         heapq.heapify(heap)
-        for u in warm_start or ():
-            g = marginal_fn(u, [], state)
-            n_evals += 1
-            heapq.heappush(heap, (-g, u, 0))
 
     seeds: list = []
     chosen: set = set()
@@ -97,10 +86,10 @@ def celf(
         g = marginal_fn(u, seeds, state)
         n_evals += 1
         fresh = (-g, u, round_no)
-        # Select u iff its fresh entry would pop before the (ε-relaxed) top,
-        # so equal gains break by id whether the top is bound-keyed or fresh,
-        # exactly as in plain greedy.
-        if not heap or fresh <= ((1.0 - epsilon) * heap[0][0], *heap[0][1:]):
+        # Select u iff its fresh entry would pop before the top, so equal
+        # gains break by id whether the top is bound-keyed or fresh, exactly
+        # as in plain greedy.
+        if not heap or fresh <= heap[0]:
             select(u, g)
         else:
             heapq.heappush(heap, fresh)

@@ -19,7 +19,6 @@ TEST_ONLY = {
     "from_em": "the logs → EM → model assembly of the full pipeline (paper §II-B)",
     "topic_radar": "the radar-diagram reading of a keyword shown in Scenario 2",
     "assert_equivalent": "the DuckDB oracle: checking Spark dataflows is its job",
-    "bfs_reachable": "the plain-reachability twin of max_prob_reach, kept beside it",
     "local_graph_from_edges_df": "collects a Spark edge frame into the online CSR",
     "effective_edges_pdf": "the query graph pp_γ as a (src, dst, p) pandas frame",
     "users_df": "lifts the generated users into Spark, as edges_df does the edges",

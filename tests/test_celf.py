@@ -1,5 +1,5 @@
 """CELF: equivalence with exhaustive lazy-free greedy on synthetic
-submodular objectives, bound-keyed pruning, ε tolerance, warm starts."""
+submodular objectives, bound-keyed pruning."""
 import numpy as np
 import pytest
 
@@ -68,34 +68,6 @@ def test_tight_bounds_prune_hard():
     _, base_v, base_evals = celf(range(n), marginal, 3)
     assert abs(v - base_v) < 1e-9
     assert evals < base_evals
-
-
-def test_epsilon_trades_quality_for_evals():
-    sets, value, marginal = coverage_instance(9)
-    n = len(sets)
-    ub = {u: marginal(u, [], None) * 2 for u in range(n)}
-    _, v0, e0 = celf(range(n), marginal, 4, upper_bounds=ub, epsilon=0.0)
-    _, v5, e5 = celf(range(n), marginal, 4, upper_bounds=ub, epsilon=0.5)
-    assert e5 <= e0
-    assert v5 >= 0.5 * v0  # per-round (1−ε) guarantee
-
-
-def test_warm_start_does_not_change_answer():
-    sets, value, marginal = coverage_instance(11)
-    n = len(sets)
-    ub = {u: marginal(u, [], None) * 1.2 + 0.1 for u in range(n)}
-    S0, v0, _ = celf(range(n), marginal, 3, upper_bounds=ub)
-    S1, v1, _ = celf(range(n), marginal, 3, upper_bounds=ub, warm_start=[5, 2, 8])
-    assert abs(v0 - v1) < 1e-9
-
-
-def test_warm_start_no_duplicate_selection():
-    sets, value, marginal = coverage_instance(13)
-    n = len(sets)
-    ub = {u: 100.0 for u in range(n)}
-    S, _, _ = celf(range(n), marginal, 5, upper_bounds=ub,
-                   warm_start=list(range(n)))
-    assert len(S) == len(set(S)) == 5
 
 
 def test_k_exceeds_candidates():

@@ -6,7 +6,8 @@ components, monitors estimating themselves and users in no envelope:
 * the lazy-liveness estimate equals the whole-envelope liveness BFS it
   replaced, exactly;
 * ``by_user`` is the inverted list of the envelope node sets;
-* a Spark-built index gives the same estimates as the local build."""
+* a Spark-built index holds the same samples, and gives the same
+  estimates, as the local build."""
 import numpy as np
 import pandas as pd
 from hypothesis import given, settings
@@ -122,6 +123,13 @@ def test_spark_build_estimates_equal_local(spark):
         loc = build_influencer_index_local(graph, R=25, seed=seed)
         dist = build_influencer_index_spark(spark, graph, R=25, seed=seed)
         assert [s.root for s in dist.samples] == _monitor_roots(graph.n, 25, seed).tolist()
+        assert len(dist.samples) == len(loc.samples)
+        for a, b in zip(dist.samples, loc.samples):
+            assert a.root == b.root
+            assert a.eids.tolist() == b.eids.tolist()  # BFS order included
+            assert a.r.tolist() == b.r.tolist()
+            assert a.nodes == b.nodes
+            assert a.in_adj == b.in_adj
         assert dist.by_user == loc.by_user
         for gamma in gammas_for(graph.Z, seed):
             for user in range(graph.n):

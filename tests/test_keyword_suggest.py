@@ -86,6 +86,14 @@ class TestIndexStructure:
             assert s.eids.tolist() == kept
             assert s.nodes == frozenset(found)
 
+    def test_no_samples_raises(self, spark, graph):
+        """R < 1 is an error in both builds, not an index whose estimate
+        divides by zero."""
+        with pytest.raises(ValueError, match="at least one sample"):
+            build_influencer_index_local(graph, R=0, seed=5)
+        with pytest.raises(ValueError, match="at least one sample"):
+            build_influencer_index_spark(spark, graph, R=0, seed=5)
+
     def test_spark_build_matches_local(self, spark, graph, index):
         dist = build_influencer_index_spark(spark, graph, R=40, seed=5)
         loc = build_influencer_index_local(graph, R=40, seed=5)

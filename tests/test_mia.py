@@ -62,6 +62,11 @@ class TestMioaClosedForm:
         s = mia_sigma_single(chain_graph, chain_graph.probs[:, 0], 0, theta=0.01)
         assert abs(s - (1 + 0.5 + 0.2 + 0.04)) < 1e-12
 
+    def test_cycle_converges(self):
+        """A 2-cycle: the walk back to the root never beats the root's 1.0."""
+        g = LocalGraph.from_edges([0, 1], [1, 0], np.array([[0.5], [0.5]]), n=2)
+        assert mioa(g, g.probs[:, 0], 0, theta=0.01) == {0: (1.0, -1), 1: (0.5, 0)}
+
     def test_leaf_tree_is_self(self, chain_graph):
         tree = mioa(chain_graph, chain_graph.probs[:, 0], 3, theta=0.01)
         assert tree == {3: (1.0, -1)}
