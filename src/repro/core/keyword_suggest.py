@@ -260,9 +260,8 @@ class SuggestResult:
 
 
 def _stderr(index: InfluencerIndex | None, est: float) -> float | None:
-    """``index``'s standard error of ``est``; None without an index, or
-    without an estimate (``est`` < 0: no candidate was scored)."""
-    return None if index is None or est < 0 else index.stderr(float(est))
+    """``index``'s standard error of ``est``; None without an index."""
+    return None if index is None else index.stderr(float(est))
 
 
 def _estimator(model: TopicAwareInfluenceModel, user: int, method: str,

@@ -6,40 +6,16 @@ query. The two model operations are:
 
 * keyword set ``W`` → topic distribution ``γ`` (Bayes, via ``topics``),
 * ``γ`` → effective activation probabilities ``pp_γ(e) = Σ_z γ_z pp^z_e``
-  for every edge — the *query-graph materialization* the naive baseline
-  must run per query, provided both as a numpy path and as a Catalyst
-  expression over the edge DataFrame (oracle-checked).
+  for every edge — the *query-graph materialization*, one (E, Z) @ (Z,)
+  matvec on the collected ``LocalGraph``.
 """
 from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.graphlib.builder import LocalGraph, local_graph_from_network
 from repro.topics.keywords import Vocabulary, gamma_from_keywords
-
-
-def materialize_query_graph(edges_df: DataFrame, gamma) -> DataFrame:
-    """Spark job: fold wide per-topic columns into the query-time edge
-    probability ``p = Σ_z γ_z · pp_z`` (one Catalyst projection)."""
-    gamma = np.asarray(gamma, dtype=np.float64)
-    expr = None
-    for z, g in enumerate(gamma):
-        term = F.col(f"pp_{z}") * float(g)
-        expr = term if expr is None else expr + term
-    return edges_df.select("src", "dst", expr.alias("p"))
-
-
-def materialize_query_graph_array(edges_arr_df: DataFrame, gamma) -> DataFrame:
-    """Same job over the array layout (src, dst, probs array<double>),
-    via ``zip_with``/``aggregate`` higher-order functions."""
-    gamma = [float(g) for g in np.asarray(gamma, dtype=np.float64)]
-    glit = F.array(*[F.lit(g) for g in gamma])
-    prod = F.zip_with(F.col("probs"), glit, lambda p, g: p * g)
-    p = F.aggregate(prod, F.lit(0.0), lambda acc, x: acc + x)
-    return edges_arr_df.select("src", "dst", p.alias("p"))
 
 
 @dataclass

@@ -5,7 +5,6 @@ logs, a collected CSR ``LocalGraph`` for the online engine, and
 from repro.graphlib.builder import (  # noqa: F401
     LocalGraph,
     degree_stats,
-    edges_with_array_probs,
     fan_out,
     graph_from_trials,
     local_graph_from_network,

@@ -15,14 +15,6 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 
-def edges_with_array_probs(edges_df: DataFrame, Z: int) -> DataFrame:
-    """Fold wide per-topic columns ``pp_0..pp_{Z-1}`` into one
-    ``array<double> probs`` column — the layout query-time jobs consume."""
-    return edges_df.select(
-        "src", "dst", F.array(*[F.col(f"pp_{z}") for z in range(Z)]).alias("probs")
-    )
-
-
 def graph_from_trials(trials_df: DataFrame) -> DataFrame:
     """Derive the social graph from the action log: one edge per (src, dst)
     pair that ever had a propagation trial, with trial/success counts.
@@ -130,10 +122,6 @@ class LocalGraph:
         """(E,) query-independent upper envelope max_z pp^z_e."""
         return self.probs.max(axis=1)
 
-    def reversed(self) -> "LocalGraph":
-        """Graph with every edge flipped (for MIIA / reverse reachability)."""
-        return LocalGraph.from_edges(self.e_dst, self.e_src, self.probs, n=self.n)
-
 
 def fan_out(spark: SparkSession, graph: LocalGraph, ids, fn, schema: str) -> pd.DataFrame:
     """Run the driver kernel ``fn(graph, id_batch) -> rows`` (a pandas
@@ -167,24 +155,4 @@ def local_graph_from_network(net) -> LocalGraph:
         net.edges["dst"].to_numpy(),
         net.edge_probs(),
         n=net.n_users,
-    )
-
-
-def local_graph_from_edges_df(edges_df: DataFrame, Z: int, n: int | None = None) -> LocalGraph:
-    """Collect a Spark edge frame (wide ``pp_z`` columns) into a LocalGraph."""
-    pdf = edges_df.toPandas()
-    probs = pdf[[f"pp_{z}" for z in range(Z)]].to_numpy(dtype=np.float64)
-    return LocalGraph.from_edges(
-        pdf["src"].to_numpy(), pdf["dst"].to_numpy(), probs, n=n
-    )
-
-
-def effective_edges_pdf(graph: LocalGraph, gamma: np.ndarray) -> pd.DataFrame:
-    """Materialized query graph as pandas (src, dst, p) — oracle-friendly."""
-    return pd.DataFrame(
-        {
-            "src": graph.e_src,
-            "dst": graph.e_dst,
-            "p": graph.effective_probs(gamma),
-        }
     )

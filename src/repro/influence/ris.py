@@ -4,40 +4,20 @@ paper cites as [8] (Tang, Xiao, Shi, SIGMOD 2014).
 A reverse-reachable (RR) set for a uniformly random root ``v`` is the set
 of nodes with a live path *to* ``v`` in a sampled live-edge graph; a seed
 set covering many RR sets has large spread: E[n · coverage/R] = σ(S).
-Used here (a) as an IM baseline and (b) inside the influencer index of
-the keyword-suggestion tool (coupled, topic-aware variant lives in
+An RR set is a live-edge cascade run backwards from its root, so it is
+drawn by ``spread.simulate_cascade`` with ``forward=False``. Used here
+(a) as an IM baseline and (b) inside the influencer index of the
+keyword-suggestion tool (coupled, topic-aware variant lives in
 ``core/keyword_suggest.py``).
 """
 import numpy as np
 
 from repro.graphlib.builder import LocalGraph
+from repro.influence.spread import simulate_cascade
 
 
 def _rr_rng(seed: int, set_id: int) -> np.random.Generator:
     return np.random.default_rng(seed * 7_368_787 + set_id)
-
-
-def rr_set(
-    graph: LocalGraph, p_eff: np.ndarray, root: int, rng: np.random.Generator
-) -> set:
-    """One RR set: reverse BFS from ``root``, drawing each in-edge lazily."""
-    found = {int(root)}
-    frontier = [int(root)]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            eids = graph.in_edges(v)
-            if len(eids) == 0:
-                continue
-            draws = rng.random(len(eids))
-            for e, r in zip(eids, draws):
-                if r < p_eff[e]:
-                    u = int(graph.e_src[e])
-                    if u not in found:
-                        found.add(u)
-                        nxt.append(u)
-        frontier = nxt
-    return found
 
 
 def rr_sets_local(
@@ -52,7 +32,7 @@ def rr_sets_local(
     for i in range(R):
         rng = _rr_rng(seed, i)
         root = int(rng.integers(0, graph.n))
-        out.append(rr_set(graph, p_eff, root, rng))
+        out.append(simulate_cascade(graph, p_eff, [root], rng, forward=False))
     return out
 
 

@@ -19,22 +19,26 @@ def _sample_rng(seed: int, sample_id: int) -> np.random.Generator:
 
 
 def simulate_cascade(
-    graph: LocalGraph, p_eff: np.ndarray, seeds, rng: np.random.Generator
+    graph: LocalGraph, p_eff: np.ndarray, seeds, rng: np.random.Generator,
+    forward: bool = True,
 ) -> set:
     """One IC cascade: lazily draw each out-edge of a newly activated node
-    once (live-edge semantics); returns the activated node set."""
+    once (live-edge semantics); returns the activated node set. With
+    ``forward=False`` the walk draws in-edges and moves to their tails, so
+    from a single root it samples an RR set (``ris.rr_sets_local``)."""
+    edges, nbr = (graph.out_edges, graph.e_dst) if forward else (graph.in_edges, graph.e_src)
     active = set(int(s) for s in seeds)
     frontier = list(active)
     while frontier:
         nxt = []
         for u in frontier:
-            eids = graph.out_edges(u)
+            eids = edges(u)
             if len(eids) == 0:
                 continue
             draws = rng.random(len(eids))
             for e, r in zip(eids, draws):
                 if r < p_eff[e]:
-                    v = int(graph.e_dst[e])
+                    v = int(nbr[e])
                     if v not in active:
                         active.add(v)
                         nxt.append(v)

@@ -4,7 +4,6 @@ parameters (Barbieri et al. [2])."""
 
 from repro.topics.keywords import (  # noqa: F401
     Vocabulary,
-    gamma_for_queries,
     gamma_from_keywords,
 )
 from repro.topics.em import em_fit_local, em_fit_spark  # noqa: F401

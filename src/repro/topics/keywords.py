@@ -6,17 +6,12 @@ a query keyword set ``W`` induces the topic distribution
 
     γ_z = p(z | W) ∝ π_z · Π_{w∈W} p(w|z)        (Bayes, as in [6])
 
-computed in log space. Provides a numpy path for the online engine and a
-Spark batch job (:func:`gamma_for_queries`) for query workloads, which the
-DuckDB oracle can check.
+computed in log space, once per query by the online engine.
 """
 from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
-from pyspark.sql.window import Window
 
 
 @dataclass
@@ -43,17 +38,6 @@ class Vocabulary:
         """p(z | w) — the radar-diagram interpretation shown in Scenario 2."""
         return gamma_from_keywords(self, [word])
 
-    def long_pdf(self) -> pd.DataFrame:
-        """(word, z, p_w_given_z) long form for Spark joins."""
-        V = len(self.words)
-        return pd.DataFrame(
-            {
-                "word": np.repeat(self.words, self.Z),
-                "z": np.tile(np.arange(self.Z), V),
-                "p_w_given_z": self.pwz.T.reshape(-1),
-            }
-        )
-
 
 def gamma_from_keywords(vocab: Vocabulary, keywords) -> np.ndarray:
     """Topic distribution γ captured by a keyword set (numpy, online path).
@@ -74,38 +58,6 @@ def gamma_from_keywords(vocab: Vocabulary, keywords) -> np.ndarray:
     logg -= logg.max()
     g = np.exp(logg)
     return g / g.sum()
-
-
-def gamma_for_queries(
-    spark: SparkSession, queries_df: DataFrame, vocab: Vocabulary
-) -> DataFrame:
-    """Batch Bayes inference as a Spark dataflow.
-
-    ``queries_df``: (query_id, word) — one row per query keyword. Returns
-    (query_id, z, gamma) normalized per query. Unknown words drop out via
-    the inner join (matching the numpy path's 'ignore unknown' rule);
-    queries whose every word is unknown drop out entirely, so callers keep
-    the prior fallback on the numpy path.
-    """
-    vocab_df = spark.createDataFrame(vocab.long_pdf())
-    pi_df = spark.createDataFrame(
-        pd.DataFrame({"z": np.arange(vocab.Z), "log_pi": np.log(vocab.pi)})
-    )
-    scored = (
-        queries_df.join(vocab_df, "word")
-        .groupBy("query_id", "z")
-        .agg(F.sum(F.log(F.col("p_w_given_z"))).alias("log_like"))
-        .join(pi_df, "z")
-        .withColumn("log_post", F.col("log_like") + F.col("log_pi"))
-    )
-    w = Window.partitionBy("query_id")
-    return (
-        scored.withColumn("m", F.max("log_post").over(w))
-        .withColumn("u", F.exp(F.col("log_post") - F.col("m")))
-        .withColumn("gamma", F.col("u") / F.sum("u").over(w))
-        .select("query_id", "z", "gamma")
-        .orderBy("query_id", "z")
-    )
 
 
 def user_keywords(items_pdf: pd.DataFrame, user: int, *, max_candidates: int = 40) -> list:

@@ -1,18 +1,9 @@
 """LocalGraph CSR invariants and the Spark graph-construction dataflows
 (checked against the DuckDB oracle)."""
 import numpy as np
-import pandas as pd
 import pytest
 
-from repro.graphlib.builder import (
-    LocalGraph,
-    degree_stats,
-    edges_with_array_probs,
-    effective_edges_pdf,
-    graph_from_trials,
-    local_graph_from_edges_df,
-    local_graph_from_network,
-)
+from repro.graphlib.builder import LocalGraph, degree_stats, graph_from_trials
 from repro.oracle import assert_equivalent
 from tests.conftest import random_local_graph
 
@@ -39,14 +30,6 @@ class TestLocalGraphCSR:
         assert sorted(g.out_eid) == list(range(g.n_edges))
         assert sorted(g.in_eid) == list(range(g.n_edges))
 
-    def test_reversed_roundtrip(self, seed):
-        g = random_local_graph(seed)
-        r = g.reversed()
-        assert r.n == g.n and r.n_edges == g.n_edges
-        fwd = sorted(zip(g.e_src, g.e_dst))
-        rev = sorted(zip(r.e_dst, r.e_src))
-        assert fwd == rev
-
 
 class TestEffectiveProbs:
     @pytest.mark.parametrize("seed", [0, 5])
@@ -64,28 +47,11 @@ class TestEffectiveProbs:
         gm = np.full(graph.Z, 1.0 / graph.Z)
         assert (graph.max_probs() >= graph.effective_probs(gm) - 1e-12).all()
 
-    def test_effective_edges_pdf(self, graph):
-        gm = np.full(graph.Z, 1.0 / graph.Z)
-        pdf = effective_edges_pdf(graph, gm)
-        assert len(pdf) == graph.n_edges
-        assert np.allclose(pdf["p"], graph.effective_probs(gm))
-
-
 class TestBuilders:
     def test_from_network_shapes(self, net, graph):
         assert graph.n == net.n_users
         assert graph.n_edges == net.n_edges
         assert graph.Z == net.Z
-
-    def test_from_edges_df_matches(self, spark, net, graph):
-        g2 = local_graph_from_edges_df(net.edges_df(spark), net.Z, n=net.n_users)
-        assert np.array_equal(np.sort(g2.e_src), np.sort(graph.e_src))
-        assert g2.probs.shape == graph.probs.shape
-
-    def test_array_probs_layout(self, spark, net):
-        arr = edges_with_array_probs(net.edges_df(spark), net.Z)
-        row = arr.limit(1).collect()[0]
-        assert len(row.probs) == net.Z
 
     def test_graph_from_trials_oracle(self, spark, log):
         trials = log.trials_df(spark)

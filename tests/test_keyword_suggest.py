@@ -94,14 +94,6 @@ class TestIndexStructure:
         with pytest.raises(ValueError, match="at least one sample"):
             build_influencer_index_spark(spark, graph, R=0, seed=5)
 
-    def test_spark_build_matches_local(self, spark, graph, index):
-        dist = build_influencer_index_spark(spark, graph, R=40, seed=5)
-        loc = build_influencer_index_local(graph, R=40, seed=5)
-        for a, b in zip(loc.samples, dist.samples):
-            assert a.root == b.root
-            assert set(a.eids.tolist()) == set(b.eids.tolist())
-            assert a.nodes == b.nodes
-
 
 class TestEstimate:
     def test_matches_mc_roughly(self, graph, model):

@@ -1,19 +1,10 @@
-"""Keyword→topic Bayes inference: numpy path, Spark batch job (with the
-DuckDB oracle on the log-likelihood aggregation), and candidate keyword
-extraction."""
+"""Keyword→topic Bayes inference and candidate keyword extraction."""
 import numpy as np
-import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.oracle import assert_equivalent
-from repro.topics.keywords import (
-    Vocabulary,
-    gamma_for_queries,
-    gamma_from_keywords,
-    user_keywords,
-)
+from repro.topics.keywords import Vocabulary, gamma_from_keywords, user_keywords
 
 
 @pytest.fixture(scope="module")
@@ -73,55 +64,6 @@ class TestGammaNumpy:
     def test_simplex_property(self, vocab, net, idxs):
         g = gamma_from_keywords(vocab, [net.words[i] for i in idxs])
         assert abs(g.sum() - 1.0) < 1e-9 and (g >= 0).all() and (g <= 1).all()
-
-
-class TestGammaSpark:
-    def test_matches_numpy(self, spark, vocab, net):
-        queries = {
-            0: [net.words[0], net.words[1]],
-            1: [net.words[30]],
-            2: [net.words[5], net.words[60], net.words[100]],
-        }
-        rows = [(qid, w) for qid, ws in queries.items() for w in ws]
-        qdf = spark.createDataFrame(pd.DataFrame(rows, columns=["query_id", "word"]))
-        got = gamma_for_queries(spark, qdf, vocab).toPandas()
-        for qid, ws in queries.items():
-            want = gamma_from_keywords(vocab, ws)
-            g = got[got["query_id"] == qid].sort_values("z")["gamma"].to_numpy()
-            assert np.allclose(g, want, atol=1e-9)
-
-    def test_unknown_words_drop(self, spark, vocab, net):
-        qdf = spark.createDataFrame(
-            pd.DataFrame({"query_id": [0, 1], "word": [net.words[0], "nope"]})
-        )
-        got = gamma_for_queries(spark, qdf, vocab).toPandas()
-        assert set(got["query_id"]) == {0}
-
-    def test_loglike_aggregation_oracle(self, spark, vocab, net):
-        """The join+groupBy log-likelihood stage matches DuckDB."""
-        from pyspark.sql import functions as F
-
-        queries = pd.DataFrame(
-            {"query_id": [0, 0, 1], "word": [net.words[0], net.words[1], net.words[9]]}
-        )
-        qdf = spark.createDataFrame(queries)
-        vdf = spark.createDataFrame(vocab.long_pdf())
-        got = (
-            qdf.join(vdf, "word")
-            .groupBy("query_id", "z")
-            .agg(F.sum(F.log(F.col("p_w_given_z"))).alias("log_like"))
-            .orderBy("query_id", "z")
-        )
-        assert_equivalent(
-            got,
-            """
-            SELECT query_id, z, sum(ln(p_w_given_z)) AS log_like
-            FROM queries JOIN vocab USING (word)
-            GROUP BY query_id, z ORDER BY query_id, z
-            """,
-            queries=queries,
-            vocab=vocab.long_pdf(),
-        )
 
 
 class TestUserKeywords:

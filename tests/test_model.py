@@ -1,16 +1,7 @@
-"""Model assembly and query-graph materialization (wide + array layouts,
-checked against numpy and the DuckDB oracle)."""
+"""Model assembly: ground truth or EM fit → model → (γ, pp_γ) per query."""
 import numpy as np
-import pandas as pd
-import pytest
 
-from repro.core.model import (
-    TopicAwareInfluenceModel,
-    materialize_query_graph,
-    materialize_query_graph_array,
-)
-from repro.graphlib.builder import edges_with_array_probs
-from repro.oracle import assert_equivalent
+from repro.core.model import TopicAwareInfluenceModel
 from repro.topics.em import em_fit_local
 
 
@@ -18,51 +9,6 @@ def unit_gamma(Z, z):
     g = np.zeros(Z)
     g[z] = 1.0
     return g
-
-
-class TestMaterialize:
-    def test_wide_matches_numpy(self, spark, net, graph, model):
-        gm = np.random.default_rng(0).dirichlet(np.ones(net.Z))
-        got = (
-            materialize_query_graph(net.edges_df(spark), gm)
-            .toPandas().sort_values(["src", "dst"]).reset_index(drop=True)
-        )
-        want = graph.effective_probs(gm)
-        order = np.lexsort((graph.e_dst, graph.e_src))
-        assert np.allclose(got["p"], want[order], atol=1e-12)
-
-    def test_array_matches_wide(self, spark, net):
-        gm = np.random.default_rng(1).dirichlet(np.ones(net.Z))
-        wide = (
-            materialize_query_graph(net.edges_df(spark), gm)
-            .toPandas().sort_values(["src", "dst"]).reset_index(drop=True)
-        )
-        arr = (
-            materialize_query_graph_array(
-                edges_with_array_probs(net.edges_df(spark), net.Z), gm
-            )
-            .toPandas().sort_values(["src", "dst"]).reset_index(drop=True)
-        )
-        assert np.allclose(wide["p"], arr["p"], atol=1e-12)
-
-    def test_wide_oracle(self, spark, net):
-        gm = np.random.default_rng(2).dirichlet(np.ones(net.Z))
-        got = materialize_query_graph(net.edges_df(spark), gm)
-        terms = " + ".join(f"pp_{z} * {gm[z]!r}" for z in range(net.Z))
-        assert_equivalent(
-            got,
-            f"SELECT src, dst, {terms} AS p FROM edges ORDER BY src, dst",
-            edges=net.edges,
-        )
-
-    @pytest.mark.parametrize("z", [0, 3])
-    def test_pure_topic_selects_column(self, spark, net, z):
-        got = (
-            materialize_query_graph(net.edges_df(spark), unit_gamma(net.Z, z))
-            .toPandas().sort_values(["src", "dst"]).reset_index(drop=True)
-        )
-        want = net.edges.sort_values(["src", "dst"]).reset_index(drop=True)
-        assert np.allclose(got["p"], want[f"pp_{z}"], atol=1e-12)
 
 
 class TestModelAssembly:

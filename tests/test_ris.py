@@ -1,45 +1,38 @@
-"""RIS: reverse-reachable set semantics, estimator agreement with MC,
-and greedy max-cover exactness."""
+"""RIS: reverse-reachable set semantics (the cascade kernel run
+backwards), estimator agreement with MC, and greedy max-cover exactness."""
 import numpy as np
-import pytest
 
-from repro.graphlib.builder import LocalGraph
-from repro.influence.ris import (
-    _rr_rng,
-    greedy_max_cover,
-    ris_im,
-    rr_set,
-    rr_sets_local,
-)
-from repro.influence.spread import mc_spread_local
+from repro.influence.ris import _rr_rng, greedy_max_cover, ris_im, rr_sets_local
+from repro.influence.spread import mc_spread_local, simulate_cascade
 from tests.conftest import random_local_graph
 
 
 class TestRRSet:
     def test_contains_root(self):
         g = random_local_graph(0, n=15, Z=1)
-        assert 4 in rr_set(g, g.probs[:, 0], 4, _rr_rng(0, 0))
+        assert 4 in simulate_cascade(g, g.probs[:, 0], [4], _rr_rng(0, 0), forward=False)
 
     def test_zero_probs_only_root(self, chain_graph):
-        s = rr_set(chain_graph, np.zeros(3), 3, _rr_rng(0, 0))
+        s = simulate_cascade(chain_graph, np.zeros(3), [3], _rr_rng(0, 0), forward=False)
         assert s == {3}
 
     def test_unit_probs_all_ancestors(self, chain_graph):
-        s = rr_set(chain_graph, np.ones(3), 3, _rr_rng(0, 0))
+        s = simulate_cascade(chain_graph, np.ones(3), [3], _rr_rng(0, 0), forward=False)
         assert s == {0, 1, 2, 3}
 
     def test_members_can_reach_root(self, chain_graph):
         """On a chain, any RR set of root 2 is a suffix-closed ancestor set."""
         for i in range(30):
-            s = rr_set(chain_graph, chain_graph.probs[:, 0], 2, _rr_rng(1, i))
+            s = simulate_cascade(chain_graph, chain_graph.probs[:, 0], [2], _rr_rng(1, i),
+                                 forward=False)
             assert s <= {0, 1, 2}
             if 0 in s:
                 assert 1 in s  # 0 only enters through 1
 
     def test_deterministic(self):
         g = random_local_graph(1, n=20, Z=1)
-        a = rr_set(g, g.probs[:, 0], 3, _rr_rng(5, 9))
-        b = rr_set(g, g.probs[:, 0], 3, _rr_rng(5, 9))
+        a = simulate_cascade(g, g.probs[:, 0], [3], _rr_rng(5, 9), forward=False)
+        b = simulate_cascade(g, g.probs[:, 0], [3], _rr_rng(5, 9), forward=False)
         assert a == b
 
 

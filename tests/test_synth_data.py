@@ -1,34 +1,8 @@
-"""Generator tests: TPC-H-lite tables and the social-network substrate."""
+"""Generator tests: the social network and the action log sampled from it."""
 import numpy as np
 import pandas as pd
-import pytest
 
 from repro import synth_data as sd
-
-
-class TestTpchLite:
-    def test_lineitem_rows(self, spark):
-        df = sd.lineitem(spark, sf=0.001)
-        assert df.count() == int(6_000_000 * 0.001)
-
-    def test_orders_keys_unique(self, spark):
-        pdf = sd.orders(spark, sf=0.001).toPandas()
-        assert pdf["o_orderkey"].is_unique
-
-    def test_customer_columns(self, spark):
-        assert "c_mktsegment" in sd.customer(spark, sf=0.001).columns
-
-    def test_part_columns(self, spark):
-        assert "p_brand" in sd.part(spark, sf=0.001).columns
-
-    def test_zipf_skew(self, spark):
-        pdf = sd.zipf_keys(spark, n=5000, n_keys=100, alpha=1.3).toPandas()
-        counts = pdf["k"].value_counts()
-        assert counts.iloc[0] > 5 * counts.iloc[-1]
-
-    def test_uniform_keys_range(self, spark):
-        pdf = sd.uniform_keys(spark, n=1000, n_keys=50).toPandas()
-        assert pdf["k"].between(1, 50).all()
 
 
 class TestSocialNetwork:
@@ -87,17 +61,6 @@ class TestSocialNetwork:
         assert df.count() == net.n_edges
         assert set(net.prob_cols) <= set(df.columns)
 
-    def test_users_df(self, spark, net):
-        pdf = net.users_df(spark).toPandas()
-        assert len(pdf) == net.n_users
-        assert pdf["primary_topic"].between(0, net.Z - 1).all()
-
-    def test_vocab_long_form(self, net):
-        v = net.vocab_pdf()
-        assert len(v) == len(net.words) * net.Z
-        per_z = v.groupby("z")["p_w_given_z"].sum()
-        assert np.allclose(per_z, 1.0)
-
 
 class TestActionLog:
     def test_deterministic(self, net, log):
@@ -139,11 +102,6 @@ class TestActionLog:
         # activation, but never after: at most one success per (item, dst)
         per = succ.groupby(["item_id", "dst"]).size()
         assert (per == 1).all()
-
-    def test_item_words_pdf(self, log):
-        pairs = log.item_words_pdf()
-        assert set(pairs.columns) == {"item_id", "word"}
-        assert len(pairs) == log.items["keywords"].map(len).sum()
 
     def test_spark_roundtrip(self, spark, log):
         assert log.trials_df(spark).count() == len(log.trials)
