@@ -10,13 +10,11 @@ from repro.experiments import build_workbench, table1_keyword_im, table2_bounds
 
 
 def run(spark: SparkSession, *, sf: float = 0.1, Z: int = 8, k: int = 10,
-        theta: float = 0.01, seed: int = 7, with_bounds_table: bool = True):
-    """Run the offline precompute on Spark, then the T1 (+T2) sweeps.
-    Returns (t1_df, t2_df_or_None, workbench)."""
+        theta: float = 0.01, seed: int = 7):
+    """Run the offline precompute on Spark, then the T1 and T2 sweeps.
+    Returns (t1_df, t2_df, workbench)."""
     wb = build_workbench(spark, sf=sf, Z=Z, theta=theta, seed=seed)
-    t1 = table1_keyword_im(wb, k=k)
-    t2 = table2_bounds(wb, k=k) if with_bounds_table else None
-    return t1, t2, wb
+    return table1_keyword_im(wb, k=k), table2_bounds(wb, k=k), wb
 
 
 if __name__ == "__main__":

@@ -44,17 +44,14 @@ class IMAnswer:
     seeds: list
     spread: float            # objective value under the method's estimator
     n_exact_evals: int       # exact spread/tree evaluations performed
-    mia_spread: float = float("nan")  # comparable MIA spread of the seed set
+    mia_spread: float        # comparable MIA spread of the seed set
 
 
-def _finish(model, method, keywords, gamma, p_eff, seeds, spread, n_evals,
-            trees=None) -> IMAnswer:
-    """Package an answer; ``trees`` is the query's MIOA cache, so the
-    comparable MIA spread reuses the trees CELF already built."""
+def _finish(method, keywords, gamma, seeds, spread, n_evals, mia_spread) -> IMAnswer:
+    """Package an answer with the comparable MIA spread of its seeds."""
     return IMAnswer(
         method=method, keywords=list(keywords), gamma=gamma, seeds=list(seeds),
-        spread=float(spread), n_exact_evals=int(n_evals),
-        mia_spread=mia_sigma(model.graph, p_eff, seeds, model.theta, trees=trees),
+        spread=float(spread), n_exact_evals=int(n_evals), mia_spread=float(mia_spread),
     )
 
 
@@ -82,7 +79,8 @@ def naive_mc_im(
         return mc_spread_local(g, p_eff, seeds, n_samples=n_samples, seed=seed)
 
     seeds, total, n_evals = celf(cand, marginal, k, state_update=state_update)
-    return _finish(model, "naive-mc", keywords, gamma, p_eff, seeds, total, n_evals)
+    return _finish("naive-mc", keywords, gamma, seeds, total, n_evals,
+                   mia_sigma(g, p_eff, seeds, model.theta))
 
 
 def naive_ris_im(
@@ -92,23 +90,24 @@ def naive_ris_im(
     """Traditional online baseline: fresh RIS per query ([8])."""
     gamma, p_eff = model.query_probs(keywords)
     seeds, est = ris_im(model.graph, p_eff, k, R=R, seed=seed)
-    return _finish(model, "naive-ris", keywords, gamma, p_eff, seeds, est, R)
+    return _finish("naive-ris", keywords, gamma, seeds, est, R,
+                   mia_sigma(model.graph, p_eff, seeds, model.theta))
 
 
 def greedy_mia(graph, p_eff: np.ndarray, k: int, theta: float = 0.01, *,
-               upper_bounds=None, trees: dict | None = None) -> tuple:
+               upper_bounds=None) -> tuple:
     """CELF greedy over MIA marginal gains on every user of ``graph``.
 
     Without ``upper_bounds`` it is plain greedy (every tree evaluated in
     round one), the exact answer the bounded loop must reproduce; with
     them it is the best-effort loop. Each user's MIOA is built at most
-    once, on one weight list, into ``trees`` (``{user: MIOA}``, a fresh
-    dict if None), which the caller may keep to finish the answer.
+    once, on one weight list.
 
-    Returns ``(seeds, spread, n_tree_evals)``.
+    Returns ``(seeds, spread, n_tree_evals)``, where ``spread`` is the
+    seeds' MIA spread Σ_v ap(S, v), the same floats as ``mia_sigma``.
     """
     weights = edge_weights(graph, p_eff).tolist()
-    trees = {} if trees is None else trees
+    trees: dict = {}
 
     def tree_of(u):
         tree = trees.get(u)
@@ -132,20 +131,20 @@ def greedy_mia(graph, p_eff: np.ndarray, k: int, theta: float = 0.01, *,
                 ap[v] = 1.0 - om
         return ap
 
-    return celf(
+    seeds, _, n_evals = celf(
         range(graph.n), marginal, k,
         upper_bounds=upper_bounds,
         state_update=state_update,
     )
+    return seeds, float(sum(ap.values())), n_evals
 
 
 def naive_mia_im(model: TopicAwareInfluenceModel, keywords, k: int) -> IMAnswer:
     """Exact greedy under MIA with no pruning — the reference answer the
     bounded methods must reproduce."""
     gamma, p_eff = model.query_probs(keywords)
-    trees: dict = {}
-    seeds, total, n_evals = greedy_mia(model.graph, p_eff, k, model.theta, trees=trees)
-    return _finish(model, "naive-mia", keywords, gamma, p_eff, seeds, total, n_evals, trees)
+    seeds, spread, n_evals = greedy_mia(model.graph, p_eff, k, model.theta)
+    return _finish("naive-mia", keywords, gamma, seeds, spread, n_evals, spread)
 
 
 def best_effort_im(
@@ -154,8 +153,5 @@ def best_effort_im(
     """Best-effort framework: CELF keyed by min(PB, NB) bounds."""
     gamma, p_eff = model.query_probs(keywords)
     ub = best_upper_bounds(model.graph, p_eff, pre)
-    trees: dict = {}
-    seeds, total, n_evals = greedy_mia(
-        model.graph, p_eff, k, model.theta, upper_bounds=ub, trees=trees
-    )
-    return _finish(model, "best-effort", keywords, gamma, p_eff, seeds, total, n_evals, trees)
+    seeds, spread, n_evals = greedy_mia(model.graph, p_eff, k, model.theta, upper_bounds=ub)
+    return _finish("best-effort", keywords, gamma, seeds, spread, n_evals, spread)

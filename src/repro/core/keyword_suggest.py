@@ -40,11 +40,9 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.mia import mia_sigma_single
 from repro.core.model import TopicAwareInfluenceModel
 from repro.graphlib.builder import LocalGraph, fan_out
 from repro.influence.spread import mc_spread_local
-from repro.topics.keywords import user_keywords
 
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -72,7 +70,6 @@ class _Sample:
 
     root: int
     eids: np.ndarray       # stored edge ids (global)
-    r: np.ndarray          # the coupled randomness of each stored edge
     nodes: frozenset       # envelope reverse-reachable node set
     in_adj: dict           # dst -> [(src, eid, r_e), ...] over the stored edges
 
@@ -126,7 +123,7 @@ def _assemble_sample(graph: LocalGraph, root: int, eids: np.ndarray, r: np.ndarr
     for d, edge in zip(graph.e_dst[eids].tolist(), zip(srcs.tolist(), eids.tolist(), r.tolist())):
         in_adj.setdefault(d, []).append(edge)
     nodes = frozenset([root, *np.unique(srcs).tolist()])
-    return _Sample(root=root, eids=eids, r=r, nodes=nodes, in_adj=in_adj)
+    return _Sample(root=root, eids=eids, nodes=nodes, in_adj=in_adj)
 
 
 def _reaches(in_adj: dict, root: int, user: int, pp) -> bool:
@@ -256,30 +253,23 @@ class SuggestResult:
     gamma: np.ndarray
     est_spread: float
     n_estimates: int
-    est_stderr: float | None = None  # index standard error; None for other estimators
-
-
-def _stderr(index: InfluencerIndex | None, est: float) -> float | None:
-    """``index``'s standard error of ``est``; None without an index."""
-    return None if index is None else index.stderr(float(est))
+    est_stderr: float | None  # index standard error; None for the MC estimator
 
 
 def _estimator(model: TopicAwareInfluenceModel, user: int, method: str,
                index: InfluencerIndex | None, n_mc: int, seed: int):
-    g = model.graph
-
-    def est(gamma) -> float:
-        if method == "index":
-            return index.estimate(user, gamma)
-        if method == "mc":
-            return mc_spread_local(
-                g, g.effective_probs(gamma), [user], n_samples=n_mc, seed=seed
-            )
-        if method == "mia":
-            return mia_sigma_single(g, g.effective_probs(gamma), user, model.theta)
+    """``method``'s spread estimator of ``user`` as a function of γ: the
+    influencer index (``index`` and ``freq``) or Monte-Carlo (``mc``)."""
+    if method == "mc":
+        g = model.graph
+        return lambda gamma: mc_spread_local(
+            g, g.effective_probs(gamma), [user], n_samples=n_mc, seed=seed
+        )
+    if method not in ("index", "freq"):
         raise ValueError(f"unknown estimator {method!r}")
-
-    return est
+    if index is None:
+        raise ValueError(f"method {method!r} needs an influencer index")
+    return partial(index.estimate, user)
 
 
 def suggest_keywords(
@@ -289,19 +279,19 @@ def suggest_keywords(
     *,
     method: str = "index",
     index: InfluencerIndex | None = None,
-    items_pdf: pd.DataFrame | None = None,
-    candidates: list | None = None,
-    pool_size: int = 20,
+    candidates: list,
     n_mc: int = 100,
     seed: int = 0,
     exhaustive: bool = False,
 ) -> SuggestResult:
-    """Suggest the k keywords (from the user's own item vocabulary) that
-    maximize the user's spread.
+    """Suggest the k keywords among ``candidates`` (the user's own item
+    vocabulary, ``topics.keywords.user_keywords``) that maximize the
+    user's spread.
 
     ``method`` selects the spread estimator: ``index`` (influencer index,
     the OCTOPUS engine), ``mc`` (from-scratch Monte-Carlo, the slow
-    baseline), ``mia``, or ``freq`` (no spread — frequency baseline).
+    baseline), or ``freq`` (the k most frequent candidates, scored by the
+    index). ``index`` and ``freq`` without an index raise ``ValueError``.
     ``exhaustive=True`` scores every k-subset (test-scale only);
     otherwise keywords are added greedily. With k = 0 or no candidates
     both return ``keywords=[]`` and the spread under the empty keyword set
@@ -309,24 +299,17 @@ def suggest_keywords(
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    items = items_pdf if items_pdf is not None else model.items
-    if candidates is None:
-        if items is None:
-            raise ValueError("need items_pdf or candidates")
-        candidates = user_keywords(items, user, max_candidates=pool_size)
+    est = _estimator(model, user, method, index, n_mc, seed)
+
+    def result(kind, keywords, gamma, spread, n_est):
+        stderr = None if method == "mc" else index.stderr(float(spread))
+        return SuggestResult(user=user, method=kind, keywords=keywords, gamma=gamma,
+                             est_spread=float(spread), n_estimates=n_est, est_stderr=stderr)
+
     if method == "freq":
         W = candidates[:k]
         gm = model.gamma(W)
-        sp = (
-            index.estimate(user, gm)
-            if index is not None
-            else mia_sigma_single(model.graph, model.edge_probs(gm), user, model.theta)
-        )
-        return SuggestResult(user=user, method="freq", keywords=W, gamma=gm,
-                             est_spread=float(sp), n_estimates=1,
-                             est_stderr=_stderr(index, sp))
-    est = _estimator(model, user, method, index, n_mc, seed)
-    err_index = index if method == "index" else None  # error bars: index only
+        return result("freq", W, gm, est(gm), 1)
     n_est = 0
     if exhaustive:
         best, best_sp, best_gm = None, -1.0, None
@@ -336,9 +319,7 @@ def suggest_keywords(
             n_est += 1
             if sp > best_sp:
                 best, best_sp, best_gm = list(combo), sp, gm
-        return SuggestResult(user=user, method=f"exhaustive-{method}", keywords=best,
-                             gamma=best_gm, est_spread=float(best_sp), n_estimates=n_est,
-                             est_stderr=_stderr(err_index, best_sp))
+        return result(f"exhaustive-{method}", best, best_gm, best_sp, n_est)
     W: list = []
     gm = model.gamma(W)
     cur = -1.0
@@ -359,6 +340,4 @@ def suggest_keywords(
     if not W:  # k = 0 or no candidates: score γ = π, as the exhaustive path does
         cur = est(gm)
         n_est += 1
-    return SuggestResult(user=user, method=f"greedy-{method}", keywords=W, gamma=gm,
-                         est_spread=float(cur), n_estimates=n_est,
-                         est_stderr=_stderr(err_index, cur))
+    return result(f"greedy-{method}", W, gm, cur, n_est)

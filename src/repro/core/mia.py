@@ -106,14 +106,11 @@ def mioa(graph: LocalGraph, p_eff: np.ndarray, root: int, theta: float = 0.01,
     return {v: (exp(-d), parent[v]) for v, d in dist.items()}
 
 
-def miia(graph: LocalGraph, p_eff: np.ndarray, root: int, theta: float = 0.01,
-         *, weights=None) -> dict:
+def miia(graph: LocalGraph, p_eff: np.ndarray, root: int, theta: float = 0.01) -> dict:
     """Maximum-influence in-arborescence: who influences ``root`` and how.
     Returns ``{node: (prob, parent)}`` where ``parent`` is the next hop
-    from ``node`` toward ``root`` (i.e. the tree is over reversed edges).
-    ``weights`` must come from ``edge_weights(graph, p_eff, forward=False)``."""
-    if weights is None:
-        weights = edge_weights(graph, p_eff, forward=False)
+    from ``node`` toward ``root`` (i.e. the tree is over reversed edges)."""
+    weights = edge_weights(graph, p_eff, forward=False)
     dist, parent = mia_search(graph, weights, root, theta, forward=False)
     return {v: (exp(-d), parent[v]) for v, d in dist.items()}
 
@@ -123,31 +120,18 @@ def mia_sigma_single(graph: LocalGraph, p_eff: np.ndarray, u: int, theta: float 
     return float(sum(p for p, _ in mioa(graph, p_eff, u, theta).values()))
 
 
-def mia_sigma(graph: LocalGraph, p_eff: np.ndarray, seeds, theta: float = 0.01,
-              *, trees: dict | None = None) -> float:
-    """Seed-set spread under the MIA independent-path approximation.
-    ``trees`` is an optional per-query ``{seed: MIOA}`` cache (see
-    :func:`ap_map`)."""
-    return float(sum(ap_map(graph, p_eff, seeds, theta, trees=trees).values()))
+def mia_sigma(graph: LocalGraph, p_eff: np.ndarray, seeds, theta: float = 0.01) -> float:
+    """Seed-set spread under the MIA independent-path approximation."""
+    return float(sum(ap_map(graph, p_eff, seeds, theta).values()))
 
 
-def ap_map(graph: LocalGraph, p_eff: np.ndarray, seeds, theta: float = 0.01,
-           *, trees: dict | None = None) -> dict:
-    """Per-node activation probability ap(S, v) = 1 − Π (1 − ap(s, v)).
-
-    ``trees`` is a per-query ``{seed: MIOA}`` cache: seeds found there
-    reuse their tree, and the trees of the others are built (on one
-    weight list) and added to it."""
-    trees = {} if trees is None else trees
-    weights = None
+def ap_map(graph: LocalGraph, p_eff: np.ndarray, seeds, theta: float = 0.01) -> dict:
+    """Per-node activation probability ap(S, v) = 1 − Π (1 − ap(s, v)),
+    folding the seeds' trees (built on one weight list) in seed order."""
+    weights = edge_weights(graph, p_eff).tolist()
     one_minus: dict = {}
     for s in seeds:
-        tree = trees.get(s)
-        if tree is None:
-            if weights is None:
-                weights = edge_weights(graph, p_eff).tolist()
-            tree = trees[s] = mioa(graph, p_eff, s, theta, weights=weights)
-        for v, (p, _) in tree.items():
+        for v, (p, _) in mioa(graph, p_eff, s, theta, weights=weights).items():
             one_minus[v] = one_minus.get(v, 1.0) * (1.0 - p)
     return {v: 1.0 - om for v, om in one_minus.items()}
 

@@ -21,16 +21,12 @@ from repro.core.keyword_im import (
     naive_mia_im,
     naive_ris_im,
 )
-from repro.core.keyword_suggest import (
-    build_influencer_index_local,
-    build_influencer_index_spark,
-    suggest_keywords,
-)
+from repro.core.keyword_suggest import build_influencer_index_spark, suggest_keywords
 from repro.core.mia import extract_paths, miia, mioa, mia_sigma_single
 from repro.core.model import TopicAwareInfluenceModel
-from repro.influence.bounds import nb_bounds, pb_bounds, precompute_local, precompute_spark
+from repro.influence.bounds import nb_bounds, pb_bounds, precompute_spark
 from repro.influence.spread import mc_spread_local, simulate_cascade, _sample_rng
-from repro.topics.em import em_fit_local, em_fit_spark, recovery_scores
+from repro.topics.em import em_fit_spark, recovery_scores
 from repro.topics.keywords import user_keywords
 
 
@@ -45,15 +41,15 @@ class Workbench:
     precompute_s: float
 
 
-def default_queries(net, n_mixed: int = 2) -> list:
+def default_queries(net) -> list:
     """Keyword queries spanning the demo's flavours: two strong keywords
-    per topic ('data mining'-style), plus cross-topic mixtures."""
+    per topic ('data mining'-style), plus two cross-topic mixtures."""
     per_topic = [
         [f"{name}_w0", f"{name}_w1"] for name in dict.fromkeys(net.topic_names)
     ]
     mixed = [
         per_topic[i][:1] + per_topic[(i + 1) % len(per_topic)][:1]
-        for i in range(min(n_mixed, len(per_topic)))
+        for i in range(min(2, len(per_topic)))
     ]
     return per_topic + mixed
 
@@ -67,47 +63,41 @@ def top_influencers(wb: Workbench, n: int) -> list:
 
 
 def build_workbench(
-    spark=None, *, sf: float = 0.1, Z: int = 8,
+    spark, *, sf: float = 0.1, Z: int = 8,
     theta: float = 0.01, sf_items: float = 0.02, seed: int = 7,
 ) -> Workbench:
     """Generate the network/action log and run the offline precomputation
-    (on Spark when a session is given, else the local mirrors)."""
+    on Spark."""
     net = sd.social_network(sf=sf, Z=Z, seed=seed)
     log = sd.action_log(net, sf=sf_items, seed=seed + 4)
     model = TopicAwareInfluenceModel.from_network(net, log, theta=theta)
     t0 = time.perf_counter()
-    if spark is not None:
-        pre = precompute_spark(spark, model.graph, theta=theta)
-    else:
-        pre = precompute_local(model.graph, theta=theta)
+    pre = precompute_spark(spark, model.graph, theta=theta)
     pre_s = time.perf_counter() - t0
     return Workbench(net=net, log=log, model=model, pre=pre, precompute_s=pre_s)
 
 
 # ---------------------------------------------------------------------- T1
 def table1_keyword_im(
-    wb: Workbench, *, k: int = 10, queries: list | None = None,
+    wb: Workbench, *, k: int = 10,
     ris_R: int = 2000, mc_eval_samples: int = 200,
     include_naive_mc: bool = False, naive_mc_candidates: int = 50,
-    naive_mc_samples: int = 50, seed: int = 0,
+    naive_mc_samples: int = 50,
 ) -> pd.DataFrame:
     """Scenario 1 — keyword-based influence maximization.
 
-    Per (query, method): latency, #exact evaluations, and the MC spread of
-    the returned seed set under a fixed 200-sample estimator (so quality is
-    comparable across methods). ``spread_vs_greedy`` normalizes MC spread
+    Per (default query, method): latency, #exact evaluations, and the MC
+    spread of the returned seed set under a fixed 200-sample estimator (so
+    quality is comparable across methods). ``spread_vs_greedy`` normalizes MC spread
     by the naive-MIA (exact greedy) answer for the same query.
     """
     model, pre = wb.model, wb.pre
-    queries = queries or default_queries(wb.net)
     rows = []
-    for qi, W in enumerate(queries):
+    for W in default_queries(wb.net):
         gamma, p_eff = model.query_probs(W)
 
         def mc_of(seeds):
-            return mc_spread_local(
-                model.graph, p_eff, seeds, n_samples=mc_eval_samples, seed=seed
-            )
+            return mc_spread_local(model.graph, p_eff, seeds, n_samples=mc_eval_samples)
 
         runs = []
         t0 = time.perf_counter()
@@ -115,7 +105,7 @@ def table1_keyword_im(
         runs.append((a, time.perf_counter() - t0))
         greedy_mc = mc_of(a.seeds)
         t0 = time.perf_counter()
-        a = naive_ris_im(model, W, k, R=ris_R, seed=seed)
+        a = naive_ris_im(model, W, k, R=ris_R)
         runs.append((a, time.perf_counter() - t0))
         t0 = time.perf_counter()
         a = best_effort_im(model, pre, W, k)
@@ -124,9 +114,7 @@ def table1_keyword_im(
             deg = np.bincount(model.graph.e_src, minlength=model.graph.n)
             cand = np.argsort(-deg)[:naive_mc_candidates].tolist()
             t0 = time.perf_counter()
-            a = naive_mc_im(
-                model, W, k, n_samples=naive_mc_samples, seed=seed, candidates=cand
-            )
+            a = naive_mc_im(model, W, k, n_samples=naive_mc_samples, candidates=cand)
             runs.append((a, time.perf_counter() - t0))
         for a, dt in runs:
             mc = mc_of(a.seeds)
@@ -146,7 +134,7 @@ def table1_keyword_im(
 # ---------------------------------------------------------------------- T2
 def table2_bounds(
     wb: Workbench, *, k: int = 10, queries: list | None = None,
-    n_eval_users: int = 300, seed: int = 0,
+    n_eval_users: int = 300,
 ) -> pd.DataFrame:
     """Bound-family effectiveness.
 
@@ -157,7 +145,7 @@ def table2_bounds(
     model, pre = wb.model, wb.pre
     g = model.graph
     queries = queries or default_queries(wb.net)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     users = rng.choice(g.n, size=min(n_eval_users, g.n), replace=False)
     rows = []
     for W in queries:
@@ -183,7 +171,7 @@ def table2_bounds(
 
 # ---------------------------------------------------------------------- T3
 def table3_suggest(
-    wb: Workbench, spark=None, *, k: int = 3, n_targets: int = 6,
+    wb: Workbench, spark, *, k: int = 3, n_targets: int = 6,
     pool_size: int = 12, index_R: int = 300, n_mc: int = 100,
     mc_eval_samples: int = 300, exhaustive_pool: int = 8, seed: int = 0,
 ) -> tuple:
@@ -194,16 +182,13 @@ def table3_suggest(
     (fixed estimator). ``vs_exhaustive`` normalizes by exhaustive search
     over a reduced pool with the index estimator (the attainable optimum
     at test scale). Returns (rows_df, meta) where meta records the offline
-    index-build time.
+    index-build time (Spark).
     """
     model = wb.model
     items = wb.log.items
     authors = items["author"].value_counts().index[:n_targets].tolist()
     t0 = time.perf_counter()
-    if spark is not None:
-        index = build_influencer_index_spark(spark, model.graph, R=index_R, seed=seed)
-    else:
-        index = build_influencer_index_local(model.graph, R=index_R, seed=seed)
+    index = build_influencer_index_spark(spark, model.graph, R=index_R, seed=seed)
     index_s = time.perf_counter() - t0
     rows = []
     for u in authors:
@@ -254,13 +239,13 @@ def table3_suggest(
 # ---------------------------------------------------------------------- T4
 def table4_mia_paths(
     wb: Workbench, *, thetas=(0.3, 0.1, 0.03, 0.01), n_roots: int = 6,
-    mc_region_samples: int = 200, seed: int = 0, keywords: list | None = None,
+    mc_region_samples: int = 200,
 ) -> pd.DataFrame:
     """Scenario 3 — influential path exploration.
 
     The exploration happens under a *topical* query (the demo explores
-    how a researcher influences their area), default: the first
-    two-keyword topic query. Roots are the first ``n_roots`` greedy-MIA
+    how a researcher influences their area): the first two-keyword topic
+    query. Roots are the first ``n_roots`` greedy-MIA
     seeds under pure topic 0. Per (root, θ): MIOA tree size/depth/#clusters + latency;
     the reverse MIIA size; and the MC influence-region baseline (nodes
     with activation prob ≥ θ estimated from ``mc_region_samples``
@@ -268,9 +253,7 @@ def table4_mia_paths(
     """
     model = wb.model
     g = model.graph
-    if keywords is None:
-        keywords = default_queries(wb.net)[0]
-    gamma = model.gamma(keywords)
+    gamma = model.gamma(default_queries(wb.net)[0])
     p_eff = g.effective_probs(gamma)
     roots = top_influencers(wb, n_roots)
     rows = []
@@ -280,7 +263,7 @@ def table4_mia_paths(
         t0 = time.perf_counter()
         counts = np.zeros(g.n)
         for i in range(mc_region_samples):
-            for v in simulate_cascade(g, p_eff, [root], _sample_rng(seed, i)):
+            for v in simulate_cascade(g, p_eff, [root], _sample_rng(0, i)):
                 counts[v] += 1
         ap_mc = counts / mc_region_samples
         mc_dt = time.perf_counter() - t0
@@ -314,7 +297,7 @@ def table4_mia_paths(
 
 # ---------------------------------------------------------------------- T5
 def table5_em(
-    spark=None, *, sf: float = 0.02, Z: int = 6, sf_items_list=(0.005, 0.01),
+    spark, *, sf: float = 0.02, Z: int = 6, sf_items_list=(0.005, 0.01),
     n_iter: int = 6, seed: int = 7,
 ) -> pd.DataFrame:
     """Model learning from action logs.
@@ -323,20 +306,17 @@ def table5_em(
     records ground-truth recovery (word-distribution cosine after topic
     matching, per-topic edge-prob correlation on well-observed cells) and
     the fit's wall clock; every row records its iteration's seconds
-    (``iter_s``, E- and M-step). Uses the Spark EM when a session is given.
+    (``iter_s``, E- and M-step). Fits with the Spark EM.
     """
     net = sd.social_network(sf=sf, Z=Z, seed=seed)
     rows = []
     for sf_items in sf_items_list:
         log = sd.action_log(net, sf=sf_items, seed=seed + 4)
         t0 = time.perf_counter()
-        if spark is not None:
-            res = em_fit_spark(
-                spark, log.items_df(spark), log.trials_df(spark),
-                Z=Z, n_iter=n_iter, seed=0,
-            )
-        else:
-            res = em_fit_local(log.items, log.trials, Z=Z, n_iter=n_iter, seed=0)
+        res = em_fit_spark(
+            spark, log.items_df(spark), log.trials_df(spark),
+            Z=Z, n_iter=n_iter, seed=0,
+        )
         dt = time.perf_counter() - t0
         sc = recovery_scores(res, net)
         for it, ll in enumerate(res.loglik):

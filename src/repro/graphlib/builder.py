@@ -74,14 +74,12 @@ class LocalGraph:
         return len(self.e_src)
 
     @classmethod
-    def from_edges(cls, src, dst, probs, n: int | None = None) -> "LocalGraph":
+    def from_edges(cls, src, dst, probs, n: int) -> "LocalGraph":
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         probs = np.asarray(probs, dtype=np.float64)
         if probs.ndim == 1:
             probs = probs[:, None]
-        if n is None:
-            n = int(max(src.max(initial=-1), dst.max(initial=-1)) + 1)
         out_eid = np.argsort(src, kind="stable").astype(np.int64)
         out_ptr = np.searchsorted(src[out_eid], np.arange(n + 1)).astype(np.int64)
         in_eid = np.argsort(dst, kind="stable").astype(np.int64)

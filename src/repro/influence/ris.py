@@ -27,7 +27,10 @@ def rr_sets_local(
     R: int = 500,
     seed: int = 0,
 ) -> list:
-    """R RR sets with uniformly random roots, coupled by set id."""
+    """R RR sets with uniformly random roots, coupled by set id; R < 1
+    raises ``ValueError``."""
+    if R < 1:
+        raise ValueError(f"R = {R}: RIS needs at least one RR set")
     out = []
     for i in range(R):
         rng = _rr_rng(seed, i)

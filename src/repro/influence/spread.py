@@ -54,7 +54,10 @@ def mc_spread_local(
     n_samples: int = 200,
     seed: int = 0,
 ) -> float:
-    """Mean activated-set size over ``n_samples`` coupled cascades."""
+    """Mean activated-set size over ``n_samples`` coupled cascades;
+    ``n_samples`` < 1 raises ``ValueError``."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples = {n_samples}: an estimate needs at least one cascade")
     total = 0
     for i in range(n_samples):
         total += len(simulate_cascade(graph, p_eff, seeds, _sample_rng(seed, i)))

@@ -15,8 +15,15 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.graphlib.builder import local_graph_from_network
+
 _N_USERS_PER_SF = 30_000
 _N_ITEMS_PER_SF = 120_000
+_WORDS_PER_TOPIC = 25
+_AVG_OUT_DEGREE = 12.0
+#: Keywords drawn per item, and the cascade size at which sampling stops.
+_WORDS_MIN, _WORDS_MAX = 3, 8
+_MAX_CASCADE = 200
 
 #: Human-readable topic labels used to synthesize a vocabulary. Mirrors the
 #: research-area flavour of ACMCite in the paper's Scenario 1/2.
@@ -81,19 +88,19 @@ class ActionLog:
         return spark.createDataFrame(self.trials)
 
 
-def _make_vocab(Z: int, words_per_topic: int, g: np.random.Generator):
+def _make_vocab(Z: int):
     """Topic-blocked vocabulary: topic z concentrates ~92% of its mass on
     its own word block with a Zipfian profile, 8% spread uniformly —
     so keywords are informative but ambiguous enough to exercise Bayes."""
     names = [TOPIC_NAMES[z % len(TOPIC_NAMES)] for z in range(Z)]
-    words = [f"{names[z]}_w{i}" for z in range(Z) for i in range(words_per_topic)]
+    words = [f"{names[z]}_w{i}" for z in range(Z) for i in range(_WORDS_PER_TOPIC)]
     V = len(words)
     pwz = np.full((Z, V), 0.08 / V)
-    zipf = 1.0 / np.arange(1, words_per_topic + 1) ** 0.8
+    zipf = 1.0 / np.arange(1, _WORDS_PER_TOPIC + 1) ** 0.8
     zipf /= zipf.sum()
     for z in range(Z):
-        lo = z * words_per_topic
-        pwz[z, lo : lo + words_per_topic] += 0.92 * zipf
+        lo = z * _WORDS_PER_TOPIC
+        pwz[z, lo : lo + _WORDS_PER_TOPIC] += 0.92 * zipf
     pwz /= pwz.sum(axis=1, keepdims=True)
     return words, pwz
 
@@ -102,8 +109,6 @@ def social_network(
     *,
     sf: float = 0.01,
     Z: int = 8,
-    words_per_topic: int = 25,
-    avg_out_degree: float = 12.0,
     mutual: bool = False,
     seed: int = 7,
 ) -> SocialNetwork:
@@ -125,7 +130,7 @@ def social_network(
 
     # Power-law out-degrees, preferential-attachment-ish in-degree weights.
     deg = np.minimum(
-        (g.pareto(1.6, n) + 1.0) * avg_out_degree * 0.55, n / 3
+        (g.pareto(1.6, n) + 1.0) * _AVG_OUT_DEGREE * 0.55, n / 3
     ).astype(np.int64)
     deg = np.maximum(deg, 1)
     in_weight = (g.pareto(1.4, n) + 1.0)
@@ -172,7 +177,7 @@ def social_network(
         edges[f"pp_{z}"] = probs[:, z]
     edges = edges.sort_values(["src", "dst"]).reset_index(drop=True)
 
-    words, pwz = _make_vocab(Z, words_per_topic, g)
+    words, pwz = _make_vocab(Z)
     names = [TOPIC_NAMES[z % len(TOPIC_NAMES)] for z in range(Z)]
     return SocialNetwork(
         n_users=n, Z=Z, topic_names=names, words=words, pi=pi, pwz=pwz,
@@ -184,9 +189,6 @@ def action_log(
     net: SocialNetwork,
     *,
     sf: float = 0.01,
-    words_min: int = 3,
-    words_max: int = 8,
-    max_cascade: int = 200,
     seed: int = 11,
 ) -> ActionLog:
     """Sample items + IC propagation trials from the ground truth.
@@ -200,16 +202,11 @@ def action_log(
     g = _rng(seed)
     n_items = max(10, int(_N_ITEMS_PER_SF * sf))
     Z, V = net.Z, len(net.words)
-    probs = net.edge_probs()
+    # The engine's out-CSR, with heads and probabilities in its edge order.
+    graph = local_graph_from_network(net)
+    ptr, e_dst, e_probs = graph.out_ptr, graph.e_dst[graph.out_eid], graph.probs[graph.out_eid]
 
-    # CSR out-adjacency over the ground-truth edge list.
-    order = np.argsort(net.edges["src"].to_numpy(), kind="stable")
-    e_src = net.edges["src"].to_numpy()[order]
-    e_dst = net.edges["dst"].to_numpy()[order]
-    e_probs = probs[order]
-    ptr = np.searchsorted(e_src, np.arange(net.n_users + 1))
-
-    auth_w = np.bincount(net.edges["src"].to_numpy(), minlength=net.n_users) + 1.0
+    auth_w = np.diff(ptr) + 1.0
     auth_w /= auth_w.sum()
     authors = g.choice(net.n_users, size=n_items, p=auth_w)
     words_arr = np.asarray(net.words, dtype=object)
@@ -218,12 +215,12 @@ def action_log(
     for d in range(n_items):
         u0 = int(authors[d])
         z = int(g.choice(Z, p=net.affinity[u0]))
-        n_w = int(g.integers(words_min, words_max + 1))
+        n_w = int(g.integers(_WORDS_MIN, _WORDS_MAX + 1))
         kws = list(dict.fromkeys(g.choice(words_arr, size=n_w, p=net.pwz[z])))
         item_rows.append((d, u0, z, kws))
         active = {u0}
         frontier = [u0]
-        while frontier and len(active) < max_cascade:
+        while frontier and len(active) < _MAX_CASCADE:
             nxt = []
             for u in frontier:
                 lo, hi = ptr[u], ptr[u + 1]

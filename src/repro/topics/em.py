@@ -54,12 +54,12 @@ class EMResult:
     q: pd.DataFrame         # (item_id, z, q) final responsibilities
     iter_s: list            # per-iteration wall-clock seconds (E- and M-step)
 
-    def edge_prob_matrix(self, e_src, e_dst, Z: int, default: float = _BETA_A / (_BETA_A + _BETA_B)) -> np.ndarray:
+    def edge_prob_matrix(self, e_src, e_dst, Z: int) -> np.ndarray:
         """(E, Z) matrix aligned to an external edge list; edges never
         observed in the log get the prior mean. Of repeated edges in the
         list, the last one receives the learned row."""
         ext = _edge_keys(e_src, e_dst)
-        out = np.full((len(ext), Z), default)
+        out = np.full((len(ext), Z), _BETA_A / (_BETA_A + _BETA_B))
         if not len(ext):
             return out
         order = np.argsort(ext, kind="stable")
@@ -158,8 +158,6 @@ def _fit(D: int, words, keys, Z: int, n_iter: int, seed: int, e_step) -> EMResul
     """The EM loop of both fits. ``e_step(π, p(w|z), pp, last)`` returns the
     summed statistics (loglik, Σq, word×z, num, den) and, when ``last``,
     the final (item ids, q)."""
-    if n_iter < 1:
-        raise ValueError("n_iter must be at least 1")
     V, Eo = len(words), len(keys)
     g = np.random.default_rng(seed)
     pi = np.full(Z, 1.0 / Z)
@@ -191,7 +189,10 @@ def em_fit_local(
     seed: int = 0,
 ) -> EMResult:
     """Numpy reference EM: the kernel on one block holding the whole log.
-    Deterministic in ``seed`` (initialization)."""
+    Deterministic in ``seed`` (initialization); ``n_iter`` < 1 raises
+    ``ValueError``."""
+    if n_iter < 1:
+        raise ValueError("n_iter must be at least 1")
     b = _pack(items_pdf, trials_pdf)
 
     def e_step(pi, pwz, pp, last):
@@ -249,8 +250,11 @@ def em_fit_spark(
     partition, once. The driver numbers words and edges in sorted order,
     as :func:`em_fit_local` does, so the shared RNG stream initializes the
     same parameters and the two fits agree up to float summation order —
-    tested in ``tests/test_em.py``.
+    tested in ``tests/test_em.py``. ``n_iter`` < 1 raises ``ValueError``
+    before any Spark job.
     """
+    if n_iter < 1:
+        raise ValueError("n_iter must be at least 1")
     sc = spark.sparkContext
     # Keywords travel as JSON text: in the union every trial row carries a
     # null keywords cell, and null array cells cost seconds in the Arrow

@@ -1,14 +1,18 @@
-"""Dead-code guard: every top-level function, class and method under
+"""Dead-code guards: every top-level function, class and method under
 ``src/repro`` is referenced by some program file — in ``src/``, ``jobs/``,
 ``benchmarks/`` or ``perfbench/`` — other than its own definition and a
-package ``__init__`` re-export. Tests do not count: code that only a test
-reads is scaffolding, unless it is listed in ``TEST_ONLY`` with a reason.
+package ``__init__`` re-export, and every keyword-only parameter of a
+function there is passed by name in some program-file call to it. Tests do
+not count: code or an option that only a test reads is scaffolding, unless
+it is listed in ``TEST_ONLY`` or ``UNSET_OPTIONS`` with a reason.
 
 References are matched by name (a call, attribute, import or a dotted
 string such as a trace target), so the check is coarse but cheap. A
 method counts as referenced only through an attribute or a string: a
 builtin called by its bare name (``sum``, ``max``) does not keep a
-method of the same name alive.
+method of the same name alive. A call is matched to a function by the
+callee's name; ``partial(f, ...)`` counts as a call to ``f``, and a call
+that passes ``**kwargs`` passes every parameter.
 """
 import ast
 import re
@@ -22,6 +26,12 @@ TEST_ONLY = {
     "from_em": "the logs → EM → model assembly of the full pipeline (paper §II-B)",
     "topic_radar": "the radar-diagram reading of a keyword shown in Scenario 2",
     "assert_equivalent": "the DuckDB oracle: checking Spark dataflows is its job",
+    "em_fit_local": "the numpy reference EM that the Spark fit is tested against",
+}
+
+#: Keyword-only parameters that no program file sets: (function, parameter) → reason.
+UNSET_OPTIONS = {
+    ("social_network", "mutual"): "the QQ friendship flavour of the generator (DESIGN.md §2)",
 }
 
 _DOTTED = re.compile(r"[A-Za-z_][\w.]*\Z")
@@ -83,3 +93,49 @@ def test_allowlist_is_current():
     stale = [n for n in TEST_ONLY
              if n not in defined or _referenced(n, defined[n][1], refs)]
     assert not stale, f"drop from TEST_ONLY: {stale}"
+
+
+def keyword_only_parameters() -> dict:
+    """``{(function, parameter): "path:line"}`` for every keyword-only
+    parameter of a def under ``src/repro``."""
+    out = {}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for a in node.args.kwonlyargs:
+                    out[(node.name, a.arg)] = f"{path.relative_to(ROOT)}:{a.lineno}"
+    return out
+
+
+def _callee(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def passed_by_name() -> set:
+    """``{(callee, parameter)}`` over every call in the program files; a
+    ``**kwargs`` call yields ``(callee, None)``."""
+    out = set()
+    for top in PROGRAM_DIRS:
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = _callee(node.func)
+                if callee == "partial" and node.args:
+                    callee = _callee(node.args[0])
+                out.update((callee, kw.arg) for kw in node.keywords)
+    return out
+
+
+def test_every_keyword_only_parameter_is_set_by_a_program():
+    passed = passed_by_name()
+    unset = {key: where for key, where in keyword_only_parameters().items()
+             if key not in passed and (key[0], None) not in passed
+             and key[0] not in TEST_ONLY and key not in UNSET_OPTIONS}
+    assert not unset, f"options no program sets (make them constants): {unset}"
+
+
+def test_unset_options_allowlist_is_current():
+    params, passed = keyword_only_parameters(), passed_by_name()
+    stale = [key for key in UNSET_OPTIONS if key not in params or key in passed]
+    assert not stale, f"drop from UNSET_OPTIONS: {stale}"

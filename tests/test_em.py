@@ -150,6 +150,21 @@ class TestSparkEM:
         b = r_l.edge_probs.sort_values(["src", "dst", "z"]).reset_index(drop=True)
         assert np.allclose(a["pp"], b["pp"], atol=1e-8)
 
+    def test_no_iterations_raise_before_any_job(self, spark, log):
+        """n_iter < 1 is an error in both fits; the Spark fit raises it
+        before it runs a job (the packing job would run first)."""
+        with pytest.raises(ValueError, match="at least 1"):
+            em_fit_local(log.items, log.trials, Z=2, n_iter=0)
+        items, trials = log.items_df(spark), log.trials_df(spark)
+        sc = spark.sparkContext
+        sc.setJobGroup("em-no-iterations", "em_fit_spark with n_iter=0")
+        try:
+            with pytest.raises(ValueError, match="at least 1"):
+                em_fit_spark(spark, items, trials, Z=2, n_iter=0)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert list(sc.statusTracker().getJobIdsForGroup("em-no-iterations")) == []
+
     def test_mstep_aggregation_oracle(self, spark, log, fit):
         """The edge-count M-step dataflow matches DuckDB."""
         q = spark.createDataFrame(fit.q)

@@ -15,9 +15,9 @@ from repro.experiments import (
 
 
 @pytest.fixture(scope="module")
-def wb():
-    """Tiny local workbench (no Spark) shared by the harness tests."""
-    return build_workbench(None, sf=0.004, Z=4, sf_items=0.002, seed=5)
+def wb(spark):
+    """Tiny workbench shared by the harness tests."""
+    return build_workbench(spark, sf=0.004, Z=4, sf_items=0.002, seed=5)
 
 
 class TestWorkbench:
@@ -34,23 +34,20 @@ class TestWorkbench:
 
 class TestT1:
     def test_rows_and_columns(self, wb):
-        t1 = table1_keyword_im(wb, k=3, queries=default_queries(wb.net)[:2],
-                               ris_R=200, mc_eval_samples=30)
+        t1 = table1_keyword_im(wb, k=3, ris_R=200, mc_eval_samples=30)
         assert set(t1["method"]) == {"naive-mia", "naive-ris", "best-effort"}
-        assert len(t1) == 2 * 3
+        assert len(t1) == len(default_queries(wb.net)) * 3
         for col in ("latency_s", "n_exact_evals", "mc_spread", "spread_vs_greedy"):
             assert col in t1.columns
 
     def test_best_effort_prunes(self, wb):
-        t1 = table1_keyword_im(wb, k=3, queries=default_queries(wb.net)[:2],
-                               ris_R=100, mc_eval_samples=20)
+        t1 = table1_keyword_im(wb, k=3, ris_R=100, mc_eval_samples=20)
         naive = t1[t1["method"] == "naive-mia"].set_index("query")["n_exact_evals"]
         be = t1[t1["method"] == "best-effort"].set_index("query")["n_exact_evals"]
         assert (be < naive).all()
 
     def test_naive_mc_opt_in(self, wb):
-        t1 = table1_keyword_im(wb, k=2, queries=default_queries(wb.net)[:1],
-                               ris_R=50, mc_eval_samples=10,
+        t1 = table1_keyword_im(wb, k=2, ris_R=50, mc_eval_samples=10,
                                include_naive_mc=True, naive_mc_candidates=8,
                                naive_mc_samples=10)
         assert "naive-mc" in set(t1["method"])
@@ -66,8 +63,8 @@ class TestT2:
 
 
 class TestT3:
-    def test_rows(self, wb):
-        t3, meta = table3_suggest(wb, None, k=2, n_targets=2, pool_size=6,
+    def test_rows(self, wb, spark):
+        t3, meta = table3_suggest(wb, spark, k=2, n_targets=2, pool_size=6,
                                   index_R=50, n_mc=20, mc_eval_samples=30,
                                   exhaustive_pool=4)
         assert meta["index_R"] == 50 and meta["index_build_s"] > 0
@@ -89,8 +86,8 @@ class TestT4:
 
 
 class TestT5:
-    def test_rows(self):
-        t5 = table5_em(None, sf=0.004, Z=3, sf_items_list=(0.001,), n_iter=3,
+    def test_rows(self, spark):
+        t5 = table5_em(spark, sf=0.004, Z=3, sf_items_list=(0.001,), n_iter=3,
                        seed=5)
         assert len(t5) == 3
         ll = t5["loglik"].to_numpy()

@@ -58,13 +58,13 @@ def reference_estimate(index, graph: LocalGraph, user: int, gamma) -> float:
     stored edge of every sample whose envelope holds ``user``, then a
     reverse BFS over the live ones."""
     hits = 0
-    for s in index.samples:
+    for i, s in enumerate(index.samples):
         if user not in s.nodes:
             continue
         if user == s.root:
             hits += 1
             continue
-        live = s.r <= graph.probs[s.eids] @ gamma
+        live = edge_uniform(index.seed, i, s.eids) <= graph.probs[s.eids] @ gamma
         adj: dict = {}
         for u, v in zip(graph.e_src[s.eids[live]].tolist(), graph.e_dst[s.eids[live]].tolist()):
             adj.setdefault(v, []).append(u)
@@ -127,7 +127,6 @@ def test_spark_build_estimates_equal_local(spark):
         for a, b in zip(dist.samples, loc.samples):
             assert a.root == b.root
             assert a.eids.tolist() == b.eids.tolist()  # BFS order included
-            assert a.r.tolist() == b.r.tolist()
             assert a.nodes == b.nodes
             assert a.in_adj == b.in_adj
         assert dist.by_user == loc.by_user

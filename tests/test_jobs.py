@@ -32,10 +32,8 @@ class TestBuildNetwork:
 
 class TestKeywordImJob:
     def test_run(self, spark):
-        t1, t2, wb = job_keyword_im.run(
-            spark, sf=0.002, Z=3, k=2, theta=0.02, seed=5, with_bounds_table=False
-        )
-        assert t2 is None
+        t1, t2, wb = job_keyword_im.run(spark, sf=0.002, Z=3, k=2, theta=0.02, seed=5)
+        assert t2["valid"].all()
         assert {"naive-mia", "best-effort"} <= set(t1["method"])
         assert wb.precompute_s > 0
 

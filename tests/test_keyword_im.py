@@ -9,6 +9,7 @@ from repro.core.keyword_im import (
     naive_mia_im,
     naive_ris_im,
 )
+from repro.core.mia import mia_sigma
 from repro.influence.spread import mc_spread_local
 
 
@@ -48,11 +49,17 @@ class TestAnswerShape:
         assert abs(a.gamma.sum() - 1.0) < 1e-9
 
     def test_mia_spread_consistent(self, model, pre, net):
-        from repro.core.mia import mia_sigma
+        """CELF's ap(S, ·) state gives the seed set's MIA spread, the same
+        floats that folding the seeds' trees afresh gives."""
+        for W in queries(net):
+            a = best_effort_im(model, pre, W, 4)
+            p = model.edge_probs(a.gamma)
+            assert a.mia_spread == mia_sigma(model.graph, p, a.seeds, model.theta)
 
-        a = best_effort_im(model, pre, queries(net)[0], 4)
-        p = model.edge_probs(a.gamma)
-        assert abs(a.mia_spread - mia_sigma(model.graph, p, a.seeds, model.theta)) < 1e-9
+    def test_zero_seeds(self, model, pre, net):
+        for a in (best_effort_im(model, pre, queries(net)[0], 0),
+                  naive_mia_im(model, queries(net)[0], 0)):
+            assert a.seeds == [] and a.mia_spread == 0.0 and a.spread == 0.0
 
     def test_negative_k_raises(self, model, pre, net):
         with pytest.raises(ValueError):

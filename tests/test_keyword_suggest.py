@@ -61,9 +61,11 @@ class TestIndexStructure:
         for i, s in enumerate(index.samples[:50]):
             if len(s.eids) == 0:
                 continue
-            assert (s.r <= p_max[s.eids]).all()
-            r2 = edge_uniform(index.seed, i, s.eids)
-            assert np.allclose(s.r, r2)
+            stored = {e: r_e for edges in s.in_adj.values() for _, e, r_e in edges}
+            assert sorted(stored) == sorted(s.eids.tolist())
+            r = edge_uniform(index.seed, i, s.eids)
+            assert [stored[e] for e in s.eids.tolist()] == r.tolist()
+            assert (r <= p_max[s.eids]).all()
 
     def test_level_expansion_matches_node_by_node_bfs(self, index, graph):
         """The level-at-a-time envelope keeps exactly the edges, in the
@@ -162,17 +164,15 @@ class TestEstimate:
 class TestSuggest:
     def test_keywords_come_from_user_items(self, model, log, index):
         u = int(log.items["author"].value_counts().index[0])
-        r = suggest_keywords(model, u, 3, method="index", index=index,
-                             items_pdf=log.items)
-        mine = set(user_keywords(log.items, u, max_candidates=20))
-        assert set(r.keywords) <= mine
+        mine = user_keywords(log.items, u, max_candidates=20)
+        r = suggest_keywords(model, u, 3, method="index", index=index, candidates=mine)
+        assert set(r.keywords) <= set(mine)
 
     def test_greedy_beats_freq_in_estimator(self, model, log, index):
         u = int(log.items["author"].value_counts().index[0])
-        g = suggest_keywords(model, u, 3, method="index", index=index,
-                             items_pdf=log.items)
-        f = suggest_keywords(model, u, 3, method="freq", index=index,
-                             items_pdf=log.items)
+        cands = user_keywords(log.items, u, max_candidates=20)
+        g = suggest_keywords(model, u, 3, method="index", index=index, candidates=cands)
+        f = suggest_keywords(model, u, 3, method="freq", index=index, candidates=cands)
         f_est = index.estimate(u, f.gamma)
         assert g.est_spread >= f_est - 1e-9
 
@@ -198,14 +198,14 @@ class TestSuggest:
         cands = user_keywords(log.items, u, max_candidates=5)
         a = suggest_keywords(model, u, 1, method="index", index=index,
                              candidates=cands)
-        b = suggest_keywords(model, u, 1, method="mia", candidates=cands)
+        b = suggest_keywords(model, u, 1, method="mc", n_mc=50, candidates=cands)
         # both pick from the same candidate pool; spreads comparable
         assert set(a.keywords) <= set(cands) and set(b.keywords) <= set(cands)
 
     def test_result_gamma_matches_keywords(self, model, log, index):
         u = int(log.items["author"].value_counts().index[0])
-        r = suggest_keywords(model, u, 2, method="index", index=index,
-                             items_pdf=log.items)
+        cands = user_keywords(log.items, u, max_candidates=20)
+        r = suggest_keywords(model, u, 2, method="index", index=index, candidates=cands)
         assert np.allclose(r.gamma, model.gamma(r.keywords))
 
     def test_index_results_carry_their_stderr(self, model, log, index):
@@ -220,12 +220,12 @@ class TestSuggest:
         ):
             assert r.est_stderr == index.stderr(r.est_spread)
         for r in (
-            suggest_keywords(model, u, 1, method="mia", candidates=cands),
-            suggest_keywords(model, u, 2, method="freq", candidates=cands),
+            suggest_keywords(model, u, 1, method="mc", n_mc=50, candidates=cands),
+            suggest_keywords(model, u, 1, method="mc", n_mc=50, index=index, candidates=cands),
         ):
             assert r.est_stderr is None
 
-    @pytest.mark.parametrize("method", ["index", "mia"])
+    @pytest.mark.parametrize("method", ["index", "mc"])
     def test_no_candidates_scores_the_prior(self, model, log, index, method):
         """Greedy and exhaustive agree on an empty pool: no keywords, and
         the spread under γ = π rather than a sentinel."""
@@ -238,7 +238,7 @@ class TestSuggest:
         assert g.n_estimates == e.n_estimates == 1
         assert np.allclose(g.gamma, model.gamma([]))
 
-    @pytest.mark.parametrize("method", ["index", "mia"])
+    @pytest.mark.parametrize("method", ["index", "mc"])
     def test_k_zero_scores_the_prior(self, model, log, index, method):
         """k = 0 is an empty answer scored under γ = π, greedy and
         exhaustive alike, not a sentinel spread."""
@@ -257,15 +257,15 @@ class TestSuggest:
         for exhaustive in (False, True):
             with pytest.raises(ValueError):
                 suggest_keywords(model, u, -1, method="index", index=index,
-                                 items_pdf=log.items, exhaustive=exhaustive)
+                                 candidates=["x"], exhaustive=exhaustive)
 
     def test_unknown_estimator_raises(self, model, log, index):
         u = int(log.items["author"].iloc[0])
         with pytest.raises(ValueError):
-            suggest_keywords(model, u, 2, method="nope", index=index,
-                             items_pdf=log.items)
+            suggest_keywords(model, u, 2, method="nope", index=index, candidates=["x"])
 
-    def test_no_items_raises(self, model, index):
-        m = model.__class__(graph=model.graph, vocab=model.vocab, items=None)
-        with pytest.raises(ValueError):
-            suggest_keywords(m, 0, 2, method="index", index=index)
+    @pytest.mark.parametrize("method", ["index", "freq"])
+    def test_index_estimators_without_an_index_raise(self, model, log, method):
+        u = int(log.items["author"].iloc[0])
+        with pytest.raises(ValueError, match="needs an influencer index"):
+            suggest_keywords(model, u, 2, method=method, candidates=["x"])

@@ -150,7 +150,7 @@ class TestGreedy:
         # greedy invariants: first seed maximizes singleton spread
         singles = [mia_sigma_single(g, p, u, 0.0) for u in range(g.n)]
         assert abs(singles[seeds[0]] - max(singles)) < 1e-9
-        assert abs(spread - mia_sigma(g, p, seeds, 0.0)) < 1e-9
+        assert spread == mia_sigma(g, p, seeds, 0.0)
 
     def test_greedy_k_seeds(self, graph, model):
         gm = np.full(graph.Z, 1.0 / graph.Z)

@@ -1,6 +1,7 @@
 """RIS: reverse-reachable set semantics (the cascade kernel run
 backwards), estimator agreement with MC, and greedy max-cover exactness."""
 import numpy as np
+import pytest
 
 from repro.influence.ris import _rr_rng, greedy_max_cover, ris_im, rr_sets_local
 from repro.influence.spread import mc_spread_local, simulate_cascade
@@ -50,6 +51,14 @@ class TestEstimator:
     def test_rr_sets_count(self):
         g = random_local_graph(2, n=10, Z=1)
         assert len(rr_sets_local(g, g.probs[:, 0], R=50, seed=0)) == 50
+
+    def test_no_rr_sets_raises(self):
+        """R < 1 is an error, not an empty seed set."""
+        g = random_local_graph(2, n=10, Z=1)
+        with pytest.raises(ValueError, match="at least one RR set"):
+            rr_sets_local(g, g.probs[:, 0], R=0)
+        with pytest.raises(ValueError, match="at least one RR set"):
+            ris_im(g, g.probs[:, 0], 2, R=0)
 
 
 class TestGreedyMaxCover:

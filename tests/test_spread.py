@@ -65,6 +65,10 @@ class TestMcSpreadLocal:
         est = mc_spread_local(g, g.probs[:, 0], list(range(10)), n_samples=5, seed=0)
         assert est == 10.0
 
+    def test_no_samples_raises(self, chain_graph):
+        with pytest.raises(ValueError, match="at least one cascade"):
+            mc_spread_local(chain_graph, chain_graph.probs[:, 0], [0], n_samples=0)
+
     def test_deterministic_in_seed(self, graph):
         gm = np.full(graph.Z, 1.0 / graph.Z)
         p = graph.effective_probs(gm)
