@@ -21,9 +21,6 @@ def get_session(app: str) -> SparkSession:
 def std_parser(desc: str) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(description=desc)
     p.add_argument("--sf", type=float, default=0.1, help="network scale factor")
-    p.add_argument("--sf-items", type=float, default=0.02, help="action-log scale factor")
     p.add_argument("--Z", type=int, default=8, help="number of topics")
-    p.add_argument("--k", type=int, default=10, help="seed-set / keyword-set size")
-    p.add_argument("--theta", type=float, default=0.01, help="MIA path threshold")
     p.add_argument("--seed", type=int, default=7)
     return p

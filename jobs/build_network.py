@@ -35,6 +35,7 @@ if __name__ == "__main__":
     from _session import get_session, std_parser
 
     p = std_parser(__doc__)
+    p.add_argument("--sf-items", type=float, default=0.02, help="action-log scale factor")
     p.add_argument("--out", default=None)
     a = p.parse_args()
     s = get_session("octopus-build-network")

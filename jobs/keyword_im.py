@@ -21,7 +21,10 @@ if __name__ == "__main__":
     sys.path.insert(0, "jobs")
     from _session import get_session, std_parser
 
-    a = std_parser(__doc__).parse_args()
+    p = std_parser(__doc__)
+    p.add_argument("--k", type=int, default=10, help="seed-set size")
+    p.add_argument("--theta", type=float, default=0.01, help="MIA path threshold")
+    a = p.parse_args()
     s = get_session("octopus-keyword-im")
     t1, t2, wb = run(s, sf=a.sf, Z=a.Z, k=a.k, theta=a.theta, seed=a.seed)
     print(f"offline: precompute={wb.precompute_s:.1f}s")

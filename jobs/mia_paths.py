@@ -44,7 +44,9 @@ if __name__ == "__main__":
     sys.path.insert(0, "jobs")
     from _session import get_session, std_parser
 
-    a = std_parser(__doc__).parse_args()
+    p = std_parser(__doc__)
+    p.add_argument("--theta", type=float, default=0.01, help="MIA path threshold")
+    a = p.parse_args()
     s = get_session("octopus-mia-paths")
     t4, payload, _ = run(s, sf=a.sf, Z=a.Z, theta=a.theta, seed=a.seed)
     print("\n== Table T4: influential path exploration ==")

@@ -23,6 +23,8 @@ if __name__ == "__main__":
     from _session import get_session, std_parser
 
     p = std_parser(__doc__)
+    p.add_argument("--k", type=int, default=5, help="keyword-set size (at most 5)")
+    p.add_argument("--theta", type=float, default=0.01, help="MIA path threshold")
     p.add_argument("--index-R", type=int, default=300)
     a = p.parse_args()
     s = get_session("octopus-suggest")

@@ -1,6 +1,7 @@
 """Graph substrate: construction of social-graph DataFrames from action
 logs, a collected CSR ``LocalGraph`` for the online engine, and
-``fan_out``, which runs a driver kernel over that graph on Spark."""
+``fan_out``, which runs a driver kernel on Spark over broadcast data: the
+graph for σ_max and the influencer index, the packed log for EM."""
 
 from repro.graphlib.builder import (  # noqa: F401
     LocalGraph,

@@ -3,8 +3,9 @@
 OCTOPUS's architecture splits into an offline Spark layer (index and model
 precomputation) and a real-time engine; ``LocalGraph`` is the collected CSR
 representation the online engine runs on, and :func:`fan_out` runs a driver
-kernel over it on Spark. Builders here also derive the social graph *from
-action logs* (the paper constructs the ACMCite graph from citation actions).
+kernel over it, or over any other broadcast data, on Spark. Builders here
+also derive the social graph *from action logs* (the paper constructs the
+ACMCite graph from citation actions).
 """
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -56,7 +57,8 @@ class LocalGraph:
     order as ``e_src``/``e_dst``; both CSR views (out by src, in by dst)
     index into that order via ``out_eid``/``in_eid``. The MIA kernel walks
     the same CSR as plain Python lists (:meth:`adjacency_lists`), built
-    once per graph on first use.
+    once per graph on first use; a pickle carries the nine CSR fields only,
+    so the lists never ship to Spark tasks.
     """
 
     n: int
@@ -68,6 +70,9 @@ class LocalGraph:
     out_eid: np.ndarray    # (E,) edge ids sorted by src
     in_ptr: np.ndarray     # (n+1,)
     in_eid: np.ndarray     # (E,) edge ids sorted by dst
+
+    def __reduce__(self):
+        return LocalGraph, tuple(getattr(self, f.name) for f in fields(LocalGraph))
 
     @property
     def n_edges(self) -> int:
@@ -121,29 +126,28 @@ class LocalGraph:
         return self.probs.max(axis=1)
 
 
-def fan_out(spark: SparkSession, graph: LocalGraph, ids, fn, schema: str) -> pd.DataFrame:
-    """Run the driver kernel ``fn(graph, id_batch) -> rows`` (a pandas
-    frame matching ``schema``) over ``ids`` on Spark, and collect the rows.
+def fan_out(spark: SparkSession, data, ids, fn, schema: str) -> pd.DataFrame:
+    """Run the driver kernel ``fn(data, id_batch) -> rows`` (a pandas frame
+    matching ``schema``) over ``ids`` on Spark, and collect the rows.
 
-    The nine ``LocalGraph`` fields are broadcast once (not the object,
-    whose cached adjacency lists would ride along), and each task rebuilds
-    the graph from them; the ids are split into ``defaultParallelism``
-    contiguous batches by ``mapInPandas``. The driver twin of a fan-out is
-    ``fn(graph, ids)``, so both run the same code on the same ids."""
+    ``data`` (any picklable value: a ``LocalGraph``, an EM block with its
+    parameters) is broadcast once; the ids are split into
+    ``defaultParallelism`` contiguous batches by ``mapInPandas``. The
+    driver twin of a fan-out is ``fn(data, ids)``, so both run the same
+    code on the same ids."""
     ids = np.asarray(ids, dtype=np.int64)
     sc = spark.sparkContext
-    csr = sc.broadcast(tuple(getattr(graph, f.name) for f in fields(LocalGraph)))
+    shared = sc.broadcast(data)
 
     def run(batches):
-        g = LocalGraph(*csr.value)
         for pdf in batches:
-            yield fn(g, ids[pdf["id"].to_numpy()])
+            yield fn(shared.value, ids[pdf["id"].to_numpy()])
 
     parts = max(1, min(len(ids), sc.defaultParallelism))
     try:
         return spark.range(len(ids), numPartitions=parts).mapInPandas(run, schema).toPandas()
     finally:
-        csr.destroy()
+        shared.destroy()
 
 
 def local_graph_from_network(net) -> LocalGraph:

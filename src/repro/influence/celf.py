@@ -54,12 +54,7 @@ def celf(
             heap.append((-g, u, 0))
         heapq.heapify(heap)
     else:
-        get = (
-            upper_bounds.get
-            if hasattr(upper_bounds, "get")
-            else upper_bounds.__getitem__
-        )
-        heap = [(-float(get(u)), u, -1) for u in candidates]
+        heap = [(-float(upper_bounds[u]), u, -1) for u in candidates]
         heapq.heapify(heap)
 
     seeds: list = []

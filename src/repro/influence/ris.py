@@ -40,14 +40,12 @@ def rr_sets_local(
 
 
 def greedy_max_cover(rr_sets: list, k: int, n: int) -> tuple:
-    """Greedy max-cover over RR sets.
+    """Greedy max-cover over R ≥ 1 RR sets.
 
     Returns ``(seeds, est_spread)`` where est_spread = n · covered / R —
     the unbiased RIS spread estimate of the selected set.
     """
     R = len(rr_sets)
-    if R == 0:
-        return [], 0.0
     covering: dict = {}
     for i, s in enumerate(rr_sets):
         for u in s:

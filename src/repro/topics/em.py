@@ -20,20 +20,22 @@ items with dense ids and returns the block's partial sufficient statistics
 (loglik, Σq per z, word×z counts, edge×z num/den), which add up across
 blocks; :func:`_m_step` turns their sum into parameters. :func:`em_fit_local`
 runs the kernel on one block holding the whole log. :func:`em_fit_spark`,
-the offline model-learning job of the OCTOPUS architecture, packs one block
-per partition once and then runs one ``mapInPandas`` job per iteration over
-the broadcast parameters; the driver sums the per-partition statistics.
+the offline model-learning job of the OCTOPUS architecture, packs the same
+block once on the driver, broadcasts it once, and then fans the kernel out
+over contiguous item ranges of it (``graphlib.builder.fan_out``), one Spark
+job per iteration; a range keeps the log's word and edge ids, so the driver
+just adds up the per-range statistics.
 """
 import itertools
-import json
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+
+from repro.graphlib.builder import fan_out
 
 #: Beta prior for edge probabilities — mean 0.1, matching sparse cascades.
 _BETA_A, _BETA_B = 0.5, 4.5
@@ -84,8 +86,7 @@ def _edge_keys(src, dst) -> np.ndarray:
 @dataclass
 class _Block:
     """Items, their keywords and their trials with dense ids: words and
-    edges are numbered in sorted order (edges by their key). The field
-    names are the columns of the packed Spark rows."""
+    edges are numbered in sorted order (edges by their key)."""
 
     items: np.ndarray   # (D,) item ids
     words: np.ndarray   # (Vb,) sorted distinct keywords
@@ -97,11 +98,8 @@ class _Block:
     t_succ: np.ndarray  # trial → success
 
 
-_PACKED = ("items array<bigint>, words array<string>, wd array<bigint>, ww array<bigint>, "
-           "keys array<bigint>, t_item array<bigint>, t_edge array<bigint>, t_succ array<boolean>")
-_STATS = ("loglik double, qsum array<double>, w_idx array<bigint>, wc array<double>, "
-          "e_idx array<bigint>, num array<double>, den array<double>, items array<bigint>, "
-          "q array<double>")
+_STATS = ("lo long, loglik double, qsum array<double>, wc array<double>, "
+          "num array<double>, den array<double>, q array<double>")
 
 
 def _pack(items_pdf: pd.DataFrame, trials_pdf: pd.DataFrame) -> _Block:
@@ -154,29 +152,48 @@ def _m_step(D: int, qsum, wc, num, den):
     return qsum / D, pwz, (num + _BETA_A) / (den + (_BETA_A + _BETA_B))
 
 
-def _fit(D: int, words, keys, Z: int, n_iter: int, seed: int, e_step) -> EMResult:
-    """The EM loop of both fits. ``e_step(π, p(w|z), pp, last)`` returns the
-    summed statistics (loglik, Σq, word×z, num, den) and, when ``last``,
-    the final (item ids, q)."""
-    V, Eo = len(words), len(keys)
+def _item_range(b: _Block, lo: int, hi: int) -> _Block:
+    """Items [lo, hi) of a block, with their keywords and trials; word and
+    edge ids stay the block's, so range statistics add up to the block's."""
+    a, c = np.searchsorted(b.wd, (lo, hi))
+    t = (b.t_item >= lo) & (b.t_item < hi)
+    return _Block(b.items[lo:hi], b.words, b.wd[a:c] - lo, b.ww[a:c], b.keys,
+                  b.t_item[t] - lo, b.t_edge[t], b.t_succ[t])
+
+
+def _range_stats(b: _Block, params, ids) -> pd.DataFrame:
+    """The fan-out kernel of :func:`em_fit_spark`: :func:`_block_stats` with
+    ``params`` = (π, p(w|z), pp) on the contiguous item range ``ids`` of the
+    block, as one row."""
+    pi, pwz, pp = params
+    lo = int(ids[0])
+    ll, qsum, wc, num, den, q = _block_stats(_item_range(b, lo, int(ids[-1]) + 1), pi, pwz, pp)
+    return pd.DataFrame({"lo": [lo], "loglik": [ll], "qsum": [qsum], "wc": [wc.ravel()],
+                         "num": [num.ravel()], "den": [den.ravel()], "q": [q.ravel()]})
+
+
+def _fit(b: _Block, Z: int, n_iter: int, seed: int, e_step) -> EMResult:
+    """The EM loop of both fits. ``e_step(π, p(w|z), pp)`` returns the
+    statistics of the whole block (loglik, Σq, word×z, num, den) and q."""
+    V, Eo = len(b.words), len(b.keys)
     g = np.random.default_rng(seed)
     pi = np.full(Z, 1.0 / Z)
     pwz = g.dirichlet(np.full(V, 1.0), size=Z)
     pp = np.clip(g.random((Eo, Z)) * 0.2 + 0.02, 1e-3, 0.5)
     loglik, iter_s = [], []
-    for it in range(n_iter):
+    for _ in range(n_iter):
         t0 = time.perf_counter()
-        ll, qsum, wc, num, den, final_q = e_step(pi, pwz, pp, it == n_iter - 1)
-        pi, pwz, pp = _m_step(D, qsum, wc, num, den)
+        ll, qsum, wc, num, den, q = e_step(pi, pwz, pp)
+        pi, pwz, pp = _m_step(len(b.items), qsum, wc, num, den)
         loglik.append(ll)
         iter_s.append(time.perf_counter() - t0)
-    item_ids, q = final_q
+    keys = b.keys
     edge_long = pd.DataFrame({"src": np.repeat(keys >> 32, Z),
                               "dst": np.repeat(keys & 0xFFFFFFFF, Z), "z": np.tile(np.arange(Z), Eo),
                               "pp": pp.ravel(), "weight": den.ravel()})
-    q_pdf = pd.DataFrame({"item_id": np.repeat(item_ids, Z),
-                          "z": np.tile(np.arange(Z), len(item_ids)), "q": q.ravel()})
-    return EMResult(pi=pi, pwz=pwz, words=list(words), edge_probs=edge_long,
+    q_pdf = pd.DataFrame({"item_id": np.repeat(b.items, Z),
+                          "z": np.tile(np.arange(Z), len(b.items)), "q": q.ravel()})
+    return EMResult(pi=pi, pwz=pwz, words=list(b.words), edge_probs=edge_long,
                     loglik=loglik, q=q_pdf, iter_s=iter_s)
 
 
@@ -194,44 +211,7 @@ def em_fit_local(
     if n_iter < 1:
         raise ValueError("n_iter must be at least 1")
     b = _pack(items_pdf, trials_pdf)
-
-    def e_step(pi, pwz, pp, last):
-        ll, qsum, wc, num, den, q = _block_stats(b, pi, pwz, pp)
-        return ll, qsum, wc, num, den, (b.items, q)
-
-    return _fit(len(b.items), b.words, b.keys, Z, n_iter, seed, e_step)
-
-
-def _pack_partition(batches):
-    """One packed row per partition of the item ⊎ trial rows (a trial row
-    has a ``src``); empty partitions emit nothing."""
-    pdfs = [pdf for pdf in batches if len(pdf)]
-    if not pdfs:
-        return
-    pdf = pd.concat(pdfs, ignore_index=True)
-    trial = pdf["src"].notna()
-    items = pdf[~trial].assign(keywords=lambda d: d["keywords"].map(json.loads))
-    b = _pack(items, pdf[trial])
-    yield pd.DataFrame({f.name: [getattr(b, f.name)] for f in fields(_Block)})
-
-
-def _partition_stats(params, last, batches):
-    """The E-step kernel on each packed block, with the block's slice of the
-    broadcast parameters; emits the statistics with their global word and
-    edge ids."""
-    words, keys, pi, pwz, pp = params.value
-    none = np.empty(0)
-    for pdf in batches:
-        for row in pdf.itertuples(index=False):
-            b = _Block(*(np.asarray(getattr(row, f.name)) for f in fields(_Block)))
-            w_idx = np.searchsorted(words, b.words)
-            e_idx = np.searchsorted(keys, b.keys)
-            ll, qsum, wc, num, den, q = _block_stats(b, pi, pwz[:, w_idx], pp[e_idx])
-            yield pd.DataFrame({
-                "loglik": [ll], "qsum": [qsum], "w_idx": [w_idx], "wc": [wc.ravel()],
-                "e_idx": [e_idx], "num": [num.ravel()], "den": [den.ravel()],
-                "items": [b.items if last else none], "q": [q.ravel() if last else none],
-            })
+    return _fit(b, Z, n_iter, seed, partial(_block_stats, b))
 
 
 def em_fit_spark(
@@ -243,56 +223,36 @@ def em_fit_spark(
     n_iter: int = 10,
     seed: int = 0,
 ) -> EMResult:
-    """Spark EM in summation form: one ``mapInPandas`` job per iteration.
+    """Spark EM in summation form: one fan-out job per iteration.
 
-    Trials and keywords are co-partitioned by ``item_id`` (one partition
-    per default-parallelism slot) and packed into one row of arrays per
-    partition, once. The driver numbers words and edges in sorted order,
-    as :func:`em_fit_local` does, so the shared RNG stream initializes the
-    same parameters and the two fits agree up to float summation order —
-    tested in ``tests/test_em.py``. ``n_iter`` < 1 raises ``ValueError``
-    before any Spark job.
+    The log is collected and packed once by :func:`_pack`, as in
+    :func:`em_fit_local`, so the shared RNG stream initializes the same
+    parameters, and the block is broadcast once per fit. Each iteration
+    broadcasts the parameters and runs the kernel on ``defaultParallelism``
+    contiguous item ranges; the driver sums the rows in range order. The two
+    fits agree up to float summation order — tested in ``tests/test_em.py``.
+    ``n_iter`` < 1 raises ``ValueError`` before any Spark job.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be at least 1")
-    sc = spark.sparkContext
-    # Keywords travel as JSON text: in the union every trial row carries a
-    # null keywords cell, and null array cells cost seconds in the Arrow
-    # conversion where null strings cost little.
-    kws = F.to_json("keywords").alias("keywords")
-    both = items_df.select(F.col("item_id").cast("long"), kws).unionByName(
-        trials_df.select(
-            F.col("item_id").cast("long"), F.col("src").cast("long"),
-            F.col("dst").cast("long"), F.col("success").cast("boolean"),
-        ),
-        allowMissingColumns=True,
-    )
-    packed = (
-        both.repartition(sc.defaultParallelism, "item_id")
-        .mapInPandas(_pack_partition, _PACKED)
-        .localCheckpoint()
-    )
-    meta = packed.select(F.size("items").alias("D"), "words", "keys").toPandas()
-    words = np.unique(np.concatenate([np.asarray(w, dtype=object) for w in meta["words"]]))
-    keys = np.unique(np.concatenate([np.asarray(k, dtype=np.int64) for k in meta["keys"]]))
-    V, Eo = len(words), len(keys)
+    b = _pack(items_df.select("item_id", "keywords").toPandas(),
+              trials_df.select("item_id", "src", "dst", "success").toPandas())
 
-    def e_step(pi, pwz, pp, last):
-        params = sc.broadcast((words, keys, pi, pwz, pp))
-        rows = packed.mapInPandas(partial(_partition_stats, params, last), _STATS).toPandas()
-        params.destroy()
-        wc, num, den = np.zeros((Z, V)), np.zeros((Eo, Z)), np.zeros((Eo, Z))
-        for r in rows.itertuples(index=False):
-            wc[:, r.w_idx] += np.reshape(r.wc, (Z, -1))
-            num[r.e_idx] += np.reshape(r.num, (-1, Z))
-            den[r.e_idx] += np.reshape(r.den, (-1, Z))
-        items = np.concatenate([np.asarray(i, dtype=np.int64) for i in rows["items"]])
-        q = np.concatenate([np.reshape(x, (-1, Z)) for x in rows["q"]])
-        order = np.argsort(items)
-        return (float(rows["loglik"].sum()), np.sum(np.stack(rows["qsum"]), axis=0),
-                wc, num, den, (items[order], q[order]))
+    block = spark.sparkContext.broadcast(b)
 
-    return _fit(int(meta["D"].sum()), words, keys, Z, n_iter, seed, e_step)
+    def e_step(pi, pwz, pp):
+        rows = fan_out(spark, (pi, pwz, pp), np.arange(len(b.items)),
+                       lambda params, ids: _range_stats(block.value, params, ids),
+                       _STATS).sort_values("lo")
+        qsum, wc, num, den = (np.sum(np.stack(rows[c]), axis=0)
+                              for c in ("qsum", "wc", "num", "den"))
+        return (float(rows["loglik"].sum()), qsum, wc.reshape(Z, -1), num.reshape(-1, Z),
+                den.reshape(-1, Z), np.concatenate(rows["q"].tolist()).reshape(-1, Z))
+
+    try:
+        return _fit(b, Z, n_iter, seed, e_step)
+    finally:
+        block.destroy()
 
 
 def match_topics(est_pwz: np.ndarray, true_pwz: np.ndarray) -> np.ndarray:

@@ -193,23 +193,23 @@ class TestSparkEM:
 
 
 def test_summed_kernel_stats_oracle(log, fit):
-    """The block kernel's edge num/den, run on three blocks of items and
-    summed by global edge id, equal ``GROUP BY src, dst, z`` over
-    trials ⋈ q in DuckDB, with q the kernel's own responsibilities."""
+    """The block kernel's edge num/den, run on three item ranges of the
+    packed log (the log's own word and edge ids) and summed, equal
+    ``GROUP BY src, dst, z`` over trials ⋈ q in DuckDB, with q the kernel's
+    own responsibilities; the ranges' logliks add up to the whole block's."""
     Z = 6
     whole = em._pack(log.items, log.trials)
     pp = fit.edge_probs["pp"].to_numpy().reshape(-1, Z)
-    num, den, qs = np.zeros_like(pp), np.zeros_like(pp), []
+    num, den, qs, ll = np.zeros_like(pp), np.zeros_like(pp), [], 0.0
     for part in np.array_split(np.arange(len(log.items)), 3):
-        items = log.items.iloc[part]
-        b = em._pack(items, log.trials[log.trials["item_id"].isin(items["item_id"])])
-        w_idx = np.searchsorted(whole.words, b.words)
-        e_idx = np.searchsorted(whole.keys, b.keys)
-        *_, b_num, b_den, q = em._block_stats(b, fit.pi, fit.pwz[:, w_idx], pp[e_idx])
-        num[e_idx] += b_num
-        den[e_idx] += b_den
+        b = em._item_range(whole, part[0], part[-1] + 1)
+        b_ll, _, _, b_num, b_den, q = em._block_stats(b, fit.pi, fit.pwz, pp)
+        ll += b_ll
+        num += b_num
+        den += b_den
         qs.append(pd.DataFrame({"item_id": np.repeat(b.items, Z),
                                 "z": np.tile(np.arange(Z), len(b.items)), "q": q.ravel()}))
+    assert ll == pytest.approx(em._block_stats(whole, fit.pi, fit.pwz, pp)[0], rel=1e-12)
     con = duckdb.connect()
     try:
         con.register("trials", log.trials)
@@ -269,7 +269,7 @@ def fit_steps(fit_fn):
 
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_items=st.integers(2, 12), Z=st.integers(1, 3))
-@example(seed=0, n_items=2, Z=2)  # fewer items than partitions: some are empty
+@example(seed=0, n_items=2, Z=2)  # fewer items than default parallelism
 def test_spark_em_equals_local_per_iteration(spark, seed, n_items, Z):
     items, trials = random_log(seed, n_items)
     n_iter = 3
@@ -287,6 +287,5 @@ def test_spark_em_equals_local_per_iteration(spark, seed, n_items, Z):
             np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
     assert dist.words == loc.words
     assert dist.edge_probs[["src", "dst", "z"]].equals(loc.edge_probs[["src", "dst", "z"]])
-    q_loc = loc.q.sort_values(["item_id", "z"], kind="stable").reset_index(drop=True)
-    assert dist.q["item_id"].tolist() == q_loc["item_id"].tolist()
-    np.testing.assert_allclose(dist.q["q"], q_loc["q"], rtol=0, atol=1e-12)
+    assert dist.q[["item_id", "z"]].equals(loc.q[["item_id", "z"]])
+    np.testing.assert_allclose(dist.q["q"], loc.q["q"], rtol=0, atol=1e-12)

@@ -1,5 +1,8 @@
 """LocalGraph CSR invariants and the Spark graph-construction dataflows
 (checked against the DuckDB oracle)."""
+import pickle
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,17 @@ class TestLocalGraphCSR:
         assert g.out_ptr[0] == 0 and g.out_ptr[-1] == g.n_edges
         assert sorted(g.out_eid) == list(range(g.n_edges))
         assert sorted(g.in_eid) == list(range(g.n_edges))
+
+    def test_pickle_ships_only_the_csr(self, seed):
+        """A pickled graph (what ``fan_out`` broadcasts) carries the nine
+        CSR fields, not the adjacency lists already built on it."""
+        g = random_local_graph(seed)
+        g.adjacency_lists(), g.adjacency_lists(forward=False)
+        back = pickle.loads(pickle.dumps(g))
+        for f in fields(LocalGraph):
+            assert np.array_equal(getattr(back, f.name), getattr(g, f.name))
+        assert not {"_out_lists", "_in_lists"} & set(vars(back))
+        assert back.adjacency_lists() == g.adjacency_lists()
 
 
 class TestEffectiveProbs:

@@ -1,12 +1,17 @@
 """Job entrypoints: each spark-submit wrapper's run() executes at toy
-scale and produces the expected artifacts."""
+scale and produces the expected artifacts, and its command line offers
+only the flags it passes on."""
+import inspect
 import json
+import re
+import runpy
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "jobs"))
+JOBS = Path(__file__).resolve().parent.parent / "jobs"
+sys.path.insert(0, str(JOBS))
 
 import build_network  # noqa: E402
 import keyword_im as job_keyword_im  # noqa: E402
@@ -16,6 +21,31 @@ import suggest_keywords as job_suggest  # noqa: E402
 
 
 TOY = dict(sf=0.002, Z=3, seed=5)
+
+COMMON = {"--sf", "--Z", "--seed"}
+FLAGS = {
+    "build_network.py": COMMON | {"--sf-items", "--out"},
+    "keyword_im.py": COMMON | {"--k", "--theta"},
+    "learn_model.py": COMMON | {"--n-iter"},
+    "mia_paths.py": COMMON | {"--theta"},
+    "suggest_keywords.py": COMMON | {"--k", "--theta", "--index-R"},
+}
+
+
+@pytest.mark.parametrize("job", sorted(FLAGS))
+def test_cli_offers_only_the_flags_it_passes_on(job, monkeypatch, capsys):
+    """``--help`` lists exactly the flags the job hands to ``run``, each a
+    parameter of it: a flag the job would ignore is an error, not a silent
+    no-op."""
+    monkeypatch.setattr(sys, "argv", [job, "--help"])
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(JOBS / job), run_name="__main__")
+    assert done.value.code == 0
+    options = capsys.readouterr().out.split("options:")[1]
+    assert set(re.findall(r"--[\w-]+", options)) - {"--help"} == FLAGS[job]
+    run = runpy.run_path(str(JOBS / job))["run"]
+    assert {f[2:].replace("-", "_") for f in FLAGS[job]} <= set(inspect.signature(run).parameters)
 
 
 class TestBuildNetwork:

@@ -78,10 +78,6 @@ class TestGreedyMaxCover:
         seeds, est = greedy_max_cover(sets, 5, n=4)
         assert seeds == [0] and est == 4.0
 
-    def test_empty_sets(self):
-        seeds, est = greedy_max_cover([], 2, n=5)
-        assert seeds == [] and est == 0.0
-
 
 class TestRisIm:
     def test_returns_k_seeds(self, graph):
