@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.graphlib.builder import local_graph_from_network
@@ -38,12 +39,41 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+#: Session settings :func:`spark_frame` overrides for its one call.
+_LOCAL_RELATION = "spark.sql.execution.arrow.localRelationThreshold"
+_BATCH_ROWS = "spark.sql.execution.arrow.maxRecordsPerBatch"
+
+
+def spark_frame(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
+    """Hand a pandas frame to Spark as one Arrow batch per core.
+
+    Spark keeps a frame under ``localRelationThreshold`` (48 MB) as a
+    ``LocalRelation`` on the driver and serializes its rows into every task
+    of every scan, and cuts a larger one into ``maxRecordsPerBatch``-row
+    partitions (10 000). For this one call the threshold is 0 and a batch
+    holds ``ceil(rows / defaultParallelism)`` rows, so the frame is a
+    ``LogicalRDD`` of at most ``defaultParallelism`` Arrow batches; the
+    session's values are restored afterwards, also when the call raises.
+    The frame goes over as an Arrow table, which keeps the schema of an
+    empty frame and does not depend on the session's Arrow switch."""
+    table = pa.Table.from_pandas(pdf, preserve_index=False)
+    batch = max(1, -(-len(pdf) // spark.sparkContext.defaultParallelism))
+    saved = {k: spark.conf.get(k) for k in (_LOCAL_RELATION, _BATCH_ROWS)}
+    spark.conf.set(_LOCAL_RELATION, "0")
+    spark.conf.set(_BATCH_ROWS, str(batch))
+    try:
+        return spark.createDataFrame(table)
+    finally:
+        for k, v in saved.items():
+            spark.conf.set(k, v)
+
+
 @dataclass
 class SocialNetwork:
     """A synthetic topic-aware social network with ground truth.
 
     Pandas frames are the source of truth (deterministic in ``seed``);
-    ``edges_df`` lifts the edges into Spark.
+    ``edges_df`` lifts the edges into Spark through :func:`spark_frame`.
     """
 
     n_users: int
@@ -70,7 +100,7 @@ class SocialNetwork:
 
     def edges_df(self, spark: SparkSession) -> DataFrame:
         """Spark edges with per-topic probs in wide columns pp_z."""
-        return spark.createDataFrame(self.edges)
+        return spark_frame(spark, self.edges)
 
 
 @dataclass
@@ -82,10 +112,10 @@ class ActionLog:
     trials: pd.DataFrame      # item_id, src, dst, success (bool)
 
     def items_df(self, spark: SparkSession) -> DataFrame:
-        return spark.createDataFrame(self.items)
+        return spark_frame(spark, self.items)
 
     def trials_df(self, spark: SparkSession) -> DataFrame:
-        return spark.createDataFrame(self.trials)
+        return spark_frame(spark, self.trials)
 
 
 def _make_vocab(Z: int):

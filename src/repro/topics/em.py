@@ -105,7 +105,10 @@ _STATS = ("lo long, loglik double, qsum array<double>, wc array<double>, "
 def _pack(items_pdf: pd.DataFrame, trials_pdf: pd.DataFrame) -> _Block:
     """Dense ids for one block, vectorised: item ids by position, words by
     ``pd.factorize``, trials' items by ``get_indexer``, edges by factorizing
-    their keys."""
+    their keys. An empty item table raises ``ValueError``: π = Σq / D is
+    undefined."""
+    if items_pdf.empty:
+        raise ValueError("the item table is empty")
     items = items_pdf["item_id"].to_numpy(np.int64)
     kws = items_pdf["keywords"]
     flat = np.fromiter(itertools.chain.from_iterable(kws), dtype=object)
@@ -206,8 +209,8 @@ def em_fit_local(
     seed: int = 0,
 ) -> EMResult:
     """Numpy reference EM: the kernel on one block holding the whole log.
-    Deterministic in ``seed`` (initialization); ``n_iter`` < 1 raises
-    ``ValueError``."""
+    Deterministic in ``seed`` (initialization); ``n_iter`` < 1 and an empty
+    item table raise ``ValueError``."""
     if n_iter < 1:
         raise ValueError("n_iter must be at least 1")
     b = _pack(items_pdf, trials_pdf)
@@ -231,7 +234,8 @@ def em_fit_spark(
     broadcasts the parameters and runs the kernel on ``defaultParallelism``
     contiguous item ranges; the driver sums the rows in range order. The two
     fits agree up to float summation order — tested in ``tests/test_em.py``.
-    ``n_iter`` < 1 raises ``ValueError`` before any Spark job.
+    ``n_iter`` < 1 raises ``ValueError`` before any Spark job, an empty item
+    table once the log is collected, before any fan-out job.
     """
     if n_iter < 1:
         raise ValueError("n_iter must be at least 1")

@@ -139,3 +139,22 @@ def test_unset_options_allowlist_is_current():
     params, passed = keyword_only_parameters(), passed_by_name()
     stale = [key for key in UNSET_OPTIONS if key not in params or key in passed]
     assert not stale, f"drop from UNSET_OPTIONS: {stale}"
+
+
+def test_frames_reach_spark_only_through_spark_frame():
+    """Every ``createDataFrame`` call under ``src/repro`` and ``jobs/`` is
+    the one in ``synth_data.spark_frame``, so no frame of the program skips
+    its Arrow-batch settings and lands on the driver as a ``LocalRelation``."""
+    calls = []
+    for top in ("src/repro", "jobs"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            allowed = set()
+            if path == ROOT / "src" / "repro" / "synth_data.py":
+                helper = next(n for n in tree.body
+                              if isinstance(n, ast.FunctionDef) and n.name == "spark_frame")
+                allowed = {id(n) for n in ast.walk(helper)}
+            calls += [f"{path.relative_to(ROOT)}:{n.lineno}" for n in ast.walk(tree)
+                      if isinstance(n, ast.Call) and _callee(n.func) == "createDataFrame"
+                      and id(n) not in allowed]
+    assert not calls, f"createDataFrame outside synth_data.spark_frame: {calls}"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from pyspark.sql import functions as F
 
 from repro.oracle import assert_equivalent
+from repro.synth_data import ActionLog
 from repro.topics import em
 from repro.topics.em import (
     EMResult,
@@ -164,6 +165,31 @@ class TestSparkEM:
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)
         assert list(sc.statusTracker().getJobIdsForGroup("em-no-iterations")) == []
+
+    def test_empty_item_table_raises(self, spark, log):
+        """π = Σq / D is undefined without items: both fits raise, and the
+        Spark fit does so before its first fan-out job."""
+        empty = ActionLog(items=log.items.iloc[:0], trials=log.trials.iloc[:0])
+        with pytest.raises(ValueError, match="item table is empty"):
+            em_fit_local(empty.items, empty.trials, Z=2, n_iter=1)
+        items, trials = empty.items_df(spark), empty.trials_df(spark)
+        with mock.patch.object(em, "fan_out", side_effect=AssertionError("fan-out job")):
+            with pytest.raises(ValueError, match="item table is empty"):
+                em_fit_spark(spark, items, trials, Z=2, n_iter=1)
+
+    def test_no_trials_equals_local(self, spark, log):
+        """Items without a single trial: no edge is learned, and the Spark
+        fit equals the local one."""
+        quiet = ActionLog(items=log.items, trials=log.trials.iloc[:0])
+        loc = em_fit_local(quiet.items, quiet.trials, Z=3, n_iter=3, seed=1)
+        dist = em_fit_spark(spark, quiet.items_df(spark), quiet.trials_df(spark),
+                            Z=3, n_iter=3, seed=1)
+        assert loc.edge_probs.empty and dist.edge_probs.empty
+        np.testing.assert_allclose(dist.loglik, loc.loglik, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(dist.pi, loc.pi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dist.pwz, loc.pwz, rtol=0, atol=1e-12)
+        assert dist.q[["item_id", "z"]].equals(loc.q[["item_id", "z"]])
+        np.testing.assert_allclose(dist.q["q"], loc.q["q"], rtol=0, atol=1e-12)
 
     def test_mstep_aggregation_oracle(self, spark, log, fit):
         """The edge-count M-step dataflow matches DuckDB."""

@@ -1,6 +1,10 @@
-"""Generator tests: the social network and the action log sampled from it."""
+"""Generator tests: the social network and the action log sampled from it,
+and how they are handed to Spark."""
+from unittest import mock
+
 import numpy as np
 import pandas as pd
+import pytest
 
 from repro import synth_data as sd
 
@@ -106,3 +110,54 @@ class TestActionLog:
     def test_spark_roundtrip(self, spark, log):
         assert log.trials_df(spark).count() == len(log.trials)
         assert log.items_df(spark).count() == len(log.items)
+
+
+class TestSparkFrame:
+    """``spark_frame``: one Arrow batch per core instead of a driver-side
+    ``LocalRelation``, with the session's settings left as they were."""
+
+    SETTINGS = ("spark.sql.execution.arrow.localRelationThreshold",
+                "spark.sql.execution.arrow.maxRecordsPerBatch")
+
+    @staticmethod
+    def frames(net, log):
+        return {"edges": (net.edges, net.edges_df), "items": (log.items, log.items_df),
+                "trials": (log.trials, log.trials_df)}
+
+    @pytest.mark.parametrize("name", ["edges", "items", "trials"])
+    def test_frame_equals_pandas(self, spark, net, log, name):
+        pdf, lift = self.frames(net, log)[name]
+        got = lift(spark).toPandas()
+        assert list(got.columns) == list(pdf.columns)
+        assert got.dtypes.equals(pdf.dtypes)
+        if "keywords" in pdf:
+            assert [list(k) for k in got["keywords"]] == pdf["keywords"].tolist()
+            got, pdf = got.drop(columns="keywords"), pdf.drop(columns="keywords")
+        pd.testing.assert_frame_equal(got, pdf)
+
+    @pytest.mark.parametrize("name", ["edges", "items", "trials", "tiny"])
+    def test_one_arrow_batch_per_core(self, spark, net, log, name):
+        cores = spark.sparkContext.defaultParallelism
+        pdf = log.trials.iloc[: cores - 1] if name == "tiny" else self.frames(net, log)[name][0]
+        df = sd.spark_frame(spark, pdf)
+        plan = df._jdf.queryExecution().optimizedPlan()
+        assert plan.getClass().getSimpleName() == "LogicalRDD"
+        assert df.rdd.getNumPartitions() == min(len(pdf), cores)
+
+    def test_session_settings_restored(self, spark, log):
+        before = [spark.conf.get(k) for k in self.SETTINGS]
+        sd.spark_frame(spark, log.items)
+        assert [spark.conf.get(k) for k in self.SETTINGS] == before
+        with mock.patch.object(type(spark), "createDataFrame",
+                               side_effect=RuntimeError("no frame")):
+            with pytest.raises(RuntimeError, match="no frame"):
+                sd.spark_frame(spark, log.items)
+        assert [spark.conf.get(k) for k in self.SETTINGS] == before
+
+    def test_log_without_trials(self, spark, log):
+        """Items but no trial: an empty frame with the four trial columns."""
+        quiet = sd.ActionLog(items=log.items, trials=log.trials.iloc[:0])
+        df = quiet.trials_df(spark)
+        assert df.columns == ["item_id", "src", "dst", "success"]
+        assert df.count() == 0
+        assert df.toPandas().dtypes.equals(log.trials.dtypes)
